@@ -2,13 +2,15 @@
 
 Five claims, all checked here:
 
-* **Identical results** — the packed engine (``kernel="packed"``, the
-  default) reproduces the python reference (``kernel="python"``)
-  bit-for-bit on every suite graph, across `tree_frontier`,
-  `dfg_frontier` (including ``batch=True``), and `DFG_Assign_Repeat`;
-  and `pmap` fan-outs return the same results at every worker count.
+* **Identical results** — the packed engine every single-instance
+  solve runs reproduces the python references of
+  :mod:`repro.checkkit.reference` bit-for-bit on every suite graph,
+  across `tree_frontier`, `dfg_frontier` (and the batched sweeps), and
+  `DFG_Assign_Repeat`; and `pmap` fan-outs return the same results at
+  every worker count.
 * **Kernel speed** — the packed engine is ≥ 2× faster than the python
-  incremental engine on the largest suite frontier sweeps (serial).
+  :class:`~repro.assign.IncrementalTreeDP` driven through the same
+  frontier sweep on the largest suite graphs (serial).
 * **Batched speed** — the batched multi-instance engine solves the
   largest frontier sweep ≥ 3× faster than one per-instance
   `DFG_Assign_Repeat` call per deadline (serial, interleaved
@@ -19,7 +21,7 @@ Five claims, all checked here:
   where POSIX shared memory exists).
 * **Parallel speed** — the `make_all`-style artifact fan-out at
   ``--workers 4`` is ≥ 2× faster than serial, and the batched sweep's
-  pin fan-out ≥ 1.5×, when ≥ 4 cores exist (skipped with a notice
+  lane fan-out ≥ 1.5×, when ≥ 4 cores exist (skipped with a notice
   otherwise; worker *equivalence* is always checked).
 
 Runs under pytest (``pytest benchmarks/bench_engine.py``) or
@@ -46,13 +48,21 @@ from conftest import write_bench_json  # noqa: E402
 from repro.assign import (
     BatchJob,
     DPStats,
+    IncrementalTreeDP,
     dfg_assign_repeat,
     dfg_assign_repeat_batch,
     dfg_frontier,
     min_completion_time,
+    tree_frontier_batch,
 )
-from repro.assign.dfg_assign import choose_expansion
+from repro.assign.dfg_assign import _repeat_rounds, choose_expansion
 from repro.assign.frontier import tree_frontier
+from repro.assign.incremental import PackedAssignDP
+from repro.checkkit.reference import (
+    reference_dfg_assign_repeat,
+    reference_dfg_frontier,
+    reference_tree_frontier,
+)
 from repro.engine import pmap, resolve_workers, shm_available
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
@@ -79,7 +89,7 @@ MIN_BATCHED_SPEEDUP = 3.0
 #: pmap payload vs shipping the bound tables by value.
 MIN_ARENA_PAYLOAD_RATIO = 10.0
 
-#: Speedup the batched sweep's pin fan-out promises at 4 workers —
+#: Speedup the batched sweep's lane fan-out promises at 4 workers —
 #: gated only on machines that actually have >= 4 cores.
 MIN_BATCHED_PARALLEL_SPEEDUP = 1.5
 
@@ -121,29 +131,27 @@ def check_equivalence(quick: bool, workers: int) -> List[str]:
         max_deadline = floor + min(_sweep_cap(len(dfg), quick), floor)
         if is_out_forest(dfg) or is_in_forest(dfg):
             packed = tree_frontier(dfg, table, max_deadline=max_deadline)
-            python = tree_frontier(
-                dfg, table, max_deadline=max_deadline, kernel="python"
+            python = reference_tree_frontier(
+                dfg, table, max_deadline=max_deadline
             )
             assert packed == python, f"{name}: tree_frontier kernels diverged"
-            batched = tree_frontier(
-                dfg, table, max_deadline=max_deadline, batch=True
-            )
+            (batched,) = tree_frontier_batch([(dfg, table, max_deadline)])
             assert packed == batched, f"{name}: tree_frontier batch diverged"
         packed = dfg_frontier(dfg, table, max_deadline=max_deadline)
-        python = dfg_frontier(
-            dfg, table, max_deadline=max_deadline, kernel="python"
-        )
+        python = reference_dfg_frontier(dfg, table, max_deadline=max_deadline)
         fanned = dfg_frontier(
-            dfg, table, max_deadline=max_deadline, workers=workers
+            dfg, table, max_deadline=max_deadline, batch=True, workers=workers
         )
         batched = dfg_frontier(dfg, table, max_deadline=max_deadline, batch=True)
         assert packed == python, f"{name}: dfg_frontier kernels diverged"
         assert packed == fanned, f"{name}: dfg_frontier workers diverged"
         assert packed == batched, f"{name}: dfg_frontier batch diverged"
         rp = dfg_assign_repeat(dfg, table, max_deadline)
-        rq = dfg_assign_repeat(dfg, table, max_deadline, kernel="python")
-        rw = dfg_assign_repeat(dfg, table, max_deadline, workers=workers)
-        for other, what in ((rq, "kernels"), (rw, "workers")):
+        rq = reference_dfg_assign_repeat(dfg, table, max_deadline)
+        (lane,) = dfg_assign_repeat_batch(
+            [BatchJob(dfg, table, max_deadline)], workers=workers
+        )
+        for other, what in ((rq, "kernels"), (lane.result, "workers")):
             assert dict(rp.assignment.items()) == dict(other.assignment.items()), (
                 f"{name}: dfg_assign_repeat {what} diverged"
             )
@@ -158,6 +166,24 @@ def check_equivalence(quick: bool, workers: int) -> List[str]:
 # ----------------------------------------------------------------------
 # kernel speed: largest graphs, packed sweep vs python incremental sweep
 # ----------------------------------------------------------------------
+def _engine_sweep(engine_cls, dfg, table, max_deadline: int, stats: DPStats):
+    """`dfg_frontier`'s shared-engine sweep on ``engine_cls``.
+
+    Both engine classes expose the refresh/traceback surface the pin
+    loop drives, so the two timings differ only in the engine.
+    """
+    expansion = choose_expansion(dfg)
+    order = expansion.duplicated_originals()
+    engine = engine_cls(
+        expansion.tree, max_deadline, node_key=expansion.origin_of, stats=stats
+    )
+    floor = min_completion_time(dfg, table)
+    return [
+        _repeat_rounds(dfg, engine, table, deadline, expansion, order)
+        for deadline in range(floor, max_deadline + 1)
+    ]
+
+
 def measure_kernel_speedups(quick: bool) -> Tuple[List[str], Dict[str, float]]:
     """Packed vs python incremental, serial, on the biggest sweeps.
 
@@ -182,15 +208,13 @@ def measure_kernel_speedups(quick: bool) -> Tuple[List[str], Dict[str, float]]:
         stats = DPStats()
         for _ in range(2):
             t0 = time.perf_counter()
-            python = dfg_frontier(
-                dfg, table, max_deadline=max_deadline, kernel="python"
+            python = _engine_sweep(
+                IncrementalTreeDP, dfg, table, max_deadline, DPStats()
             )
             py_s = min(py_s, time.perf_counter() - t0)
             stats = DPStats()
             t0 = time.perf_counter()
-            packed = dfg_frontier(
-                dfg, table, max_deadline=max_deadline, stats=stats
-            )
+            packed = _engine_sweep(PackedAssignDP, dfg, table, max_deadline, stats)
             pk_s = min(pk_s, time.perf_counter() - t0)
             assert packed == python, f"{name}: kernels diverged under timing"
         speedups[name] = py_s / pk_s
@@ -342,7 +366,7 @@ def _gate_parallel(workers: int) -> bool:
 def measure_batched_parallel(
     quick: bool, workers: int
 ) -> Tuple[List[str], float]:
-    """Batched sweep serial vs its ``workers`` pin fan-out.
+    """Batched sweep serial vs its ``workers`` lane fan-out.
 
     Equivalence always; the >= 1.5x gate binds only under
     :func:`_gate_parallel` (>= 4 workers on >= 4 real cores) — on

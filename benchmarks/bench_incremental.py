@@ -2,9 +2,10 @@
 
 Two claims, both checked here:
 
-* **Identical results** — `dfg_assign_repeat(incremental=True)` and the
-  swept `dfg_frontier` reproduce the non-incremental reference path's
-  assignments and costs exactly, on every suite graph.
+* **Identical results** — `dfg_assign_repeat` and the swept
+  `dfg_frontier` reproduce the per-deadline references of
+  :mod:`repro.checkkit.reference` (a fresh python engine per deadline)
+  in assignments and costs exactly, on every suite graph.
 * **Speed** — the swept frontier is ≥ 5× faster than the per-deadline
   reference on the largest suite graphs (the curve cache turns each
   deadline into an O(n) traceback plus near-all-hit refreshes).
@@ -32,6 +33,10 @@ from repro.assign import (
     min_completion_time,
 )
 from repro.assign.dfg_assign import choose_expansion
+from repro.checkkit.reference import (
+    reference_dfg_assign_repeat,
+    reference_dfg_frontier,
+)
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
 from repro.report.experiments import DEFAULT_SEED
@@ -84,18 +89,16 @@ def check_equivalence(quick: bool) -> List[str]:
         span = min(_sweep_cap(len(expansion), quick), floor)
         max_deadline = floor + span
         for deadline in sorted({floor, floor + 1, floor + span // 2, max_deadline}):
-            ref = dfg_assign_repeat(
-                dfg, table, deadline, expansion=expansion, incremental=False
+            ref = reference_dfg_assign_repeat(
+                dfg, table, deadline, expansion=expansion
             )
-            inc = dfg_assign_repeat(
-                dfg, table, deadline, expansion=expansion, incremental=True
-            )
+            inc = dfg_assign_repeat(dfg, table, deadline, expansion=expansion)
             assert dict(inc.assignment.items()) == dict(ref.assignment.items()), (
                 f"{name}@{deadline}: incremental assignment diverged"
             )
             assert inc.cost == ref.cost, f"{name}@{deadline}: cost diverged"
-        ref_frontier = dfg_frontier(
-            dfg, table, max_deadline=max_deadline, incremental=False
+        ref_frontier = reference_dfg_frontier(
+            dfg, table, max_deadline=max_deadline
         )
         swept = dfg_frontier(dfg, table, max_deadline=max_deadline)
         assert swept == ref_frontier, f"{name}: swept frontier diverged"
@@ -116,7 +119,7 @@ def measure_speedups(quick: bool) -> Tuple[List[str], Dict[str, float]]:
         dfg, table, expansion, floor = _setup(name)
         max_deadline = floor + min(_sweep_cap(len(expansion), quick), 2 * floor)
         t0 = time.perf_counter()
-        ref = dfg_frontier(dfg, table, max_deadline=max_deadline, incremental=False)
+        ref = reference_dfg_frontier(dfg, table, max_deadline=max_deadline)
         ref_s = time.perf_counter() - t0
         stats = DPStats()
         t0 = time.perf_counter()

@@ -14,6 +14,11 @@ CI run this way), legacy positional calls raise ``TypeError`` exactly
 as the plain keyword-only def will once the shims are dropped.  The
 flag is read at call time, so tests can flip it with ``monkeypatch``.
 
+:func:`retired_knobs` keeps parameters that no longer do anything
+(``kernel=``, ``incremental=``, ...) accepted-but-ignored with the same
+warn / ``TypeError``-under-:data:`STRICT_API` split; ``docs/api.md``
+lists them for removal in 2.0.
+
 This module sits at the bottom layer (with ``errors`` and ``obs``) and
 imports nothing from the rest of the package.
 """
@@ -21,11 +26,13 @@ imports nothing from the rest of the package.
 from __future__ import annotations
 
 import functools
+import inspect
 import os
+import sys
 import warnings
 from typing import Any, Callable, TypeVar, cast
 
-__all__ = ["deprecated_positionals", "STRICT_API"]
+__all__ = ["deprecated_positionals", "retired_knobs", "STRICT_API"]
 
 #: When true, the deprecated-positionals shims raise ``TypeError``
 #: instead of warning — the frozen v1 behaviour.  Initialised from the
@@ -40,6 +47,18 @@ STRICT_API: bool = os.environ.get("REPRO_STRICT_API", "").strip().lower() in (
 )
 
 F = TypeVar("F", bound=Callable[..., Any])
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` of the first frame outside this module.
+
+    Shims stack (``deprecated_positionals`` over ``retired_knobs``), so
+    a fixed level would blame the outer shim instead of the caller.
+    """
+    level, frame = 2, sys._getframe(2)
+    while frame is not None and frame.f_code.co_filename == __file__:
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 def deprecated_positionals(*names: str, keep: int = 2) -> Callable[[F], F]:
@@ -91,6 +110,56 @@ def deprecated_positionals(*names: str, keep: int = 2) -> Callable[[F], F]:
                     stacklevel=2,
                 )
                 args = args[:keep]
+            return func(*args, **kwargs)
+
+        return cast(F, wrapper)
+
+    return decorate
+
+
+def retired_knobs(*names: str) -> Callable[[F], F]:
+    """Accept-and-ignore the parameters ``names`` — deprecated.
+
+    The wrapped function keeps ``names`` in its signature (so
+    ``deprecated_positionals`` stacked above can still map legacy
+    positionals onto them) but never sees a caller's value: a knob
+    passed by keyword or position is reset to its declared default,
+    with one ``DeprecationWarning`` per call.  Under :data:`STRICT_API`
+    the call raises ``TypeError`` naming the knob instead.
+    """
+
+    def decorate(func: F) -> F:
+        qualname = func.__qualname__.removesuffix(".__init__")
+        params = inspect.signature(func).parameters
+        slots = {
+            name: index
+            for index, name in enumerate(params)
+            if name in names
+            and params[name].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        }
+
+        @functools.wraps(func)
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            passed = [
+                n for n in names if n in kwargs or slots.get(n, len(args)) < len(args)
+            ]
+            if passed:
+                listed = ", ".join(repr(n) for n in passed)
+                if STRICT_API:
+                    raise TypeError(  # lint: ignore[RL001]
+                        f"{qualname}() got retired argument(s) {listed}; "
+                        "they have no effect and are rejected under STRICT_API"
+                    )
+                warnings.warn(
+                    f"{listed} of {qualname}() is retired and ignored "
+                    "(it never changed a result); drop it before 2.0",
+                    DeprecationWarning,
+                    stacklevel=_caller_stacklevel(),
+                )
+                for name in passed:
+                    kwargs.pop(name, None)
+                reset = {slots[n]: params[n].default for n in passed if n in slots}
+                args = tuple(reset.get(i, a) for i, a in enumerate(args))
             return func(*args, **kwargs)
 
         return cast(F, wrapper)

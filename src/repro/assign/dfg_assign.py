@@ -25,12 +25,11 @@ therefore optimal (no node is duplicated).
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..engine import pmap
+from ..apiutil import deprecated_positionals, retired_knobs
 from ..errors import GraphError
-from ..apiutil import deprecated_positionals
 from ..fu.table import TimeCostTable
 from ..graph.dag import require_acyclic
 from ..graph.dfg import DFG, Node
@@ -38,7 +37,7 @@ from ..graph.paths import longest_path_time
 from ..obs import add_metric, current_tracer
 from .assignment import Assignment
 from .dfg_expand import ExpandedTree, dfg_expand
-from .incremental import DPStats, TreeEngine, make_tree_engine
+from .incremental import DPStats, PackedAssignDP
 from .result import AssignResult
 from .tree_assign import tree_assign
 
@@ -77,6 +76,27 @@ def _emit_dp_metrics(before: Dict[str, float], stats: DPStats) -> None:
             add_metric(_DP_METRICS[name], delta)
 
 
+@contextmanager
+def _packed_engine(
+    expansion: ExpandedTree, deadline: int, stats: Optional[DPStats]
+) -> Iterator[PackedAssignDP]:
+    """The packed engine over ``expansion``, counters published on exit.
+
+    ``stats`` (or a private one under an enabled tracer) collects the
+    engine's :class:`DPStats`; a clean exit publishes the run's deltas
+    as ``dp.*`` metrics.
+    """
+    tracer = current_tracer()
+    if stats is None and tracer.enabled:
+        stats = DPStats()
+    before = stats.as_dict() if stats is not None else {}
+    yield PackedAssignDP(
+        expansion.tree, deadline, node_key=expansion.origin_of, stats=stats
+    )
+    if tracer.enabled and stats is not None:
+        _emit_dp_metrics(before, stats)
+
+
 def expansion_candidates(
     dfg: DFG, node_limit: int = 200_000
 ) -> Tuple[ExpandedTree, ExpandedTree]:
@@ -99,41 +119,19 @@ def choose_expansion(dfg: DFG, node_limit: int = 200_000) -> ExpandedTree:
     return t_fwd if len(t_fwd) <= len(t_rev) else t_rev
 
 
-def _pin_candidate_key(
-    times: Tuple[int, ...], costs: Tuple[float, ...], k: int
-) -> Tuple[int, float, int]:
-    """Sort key of one copy's candidate pin (picklable for `pmap`)."""
-    return (times[k], costs[k], k)
-
-
 def _min_time_choice(
     expansion: ExpandedTree,
     table: TimeCostTable,
     tree_mapping: Dict[Node, int],
     original: Node,
-    workers: int = 0,
 ) -> int:
     """Fastest type among a duplicated node's copy assignments.
 
     Ties broken toward the cheaper cost, then the smaller type index —
-    all deterministic.  With ``workers`` the independent per-copy
-    candidate evaluations fan out through :func:`~repro.engine.pmap`;
-    ``min`` over the gathered keys picks the same first-minimal tuple
-    the serial scan does, so the result is worker-count independent.
+    all deterministic.
     """
-    copies = expansion.copies[original]
-    if workers and len(copies) > 1:
-        times = tuple(int(t) for t in table.times(original))
-        costs = tuple(float(c) for c in table.costs(original))
-        keys = pmap(
-            partial(_pin_candidate_key, times, costs),
-            [tree_mapping[copy] for copy in copies],
-            workers=workers,
-            label="engine.pin_eval",
-        )
-        return min(keys)[2]
     best: Optional[Tuple[int, float, int]] = None
-    for copy in copies:
+    for copy in expansion.copies[original]:
         k = tree_mapping[copy]
         key = (table.time(original, k), table.cost(original, k), k)
         if best is None or key < best:
@@ -193,6 +191,7 @@ def _finish(
 
 
 @deprecated_positionals("expansion", "node_limit", "kernel", keep=3)
+@retired_knobs("kernel")
 def dfg_assign_once(
     dfg: DFG,
     table: TimeCostTable,
@@ -206,8 +205,8 @@ def dfg_assign_once(
 
     ``expansion`` lets callers (benchmark sweeps, ablations) reuse or
     override the critical-path tree; by default the smaller of the two
-    candidates is built fresh.  ``kernel`` selects the tree-DP engine
-    (packed default / python reference, bit-identical).
+    candidates is built fresh.  ``kernel`` is retired and ignored (see
+    ``docs/api.md``).
 
     Raises :class:`~repro.errors.InfeasibleError` when no assignment
     meets ``deadline`` (propagated from `Tree_Assign` — the tree has
@@ -225,7 +224,6 @@ def dfg_assign_once(
             table,
             deadline,
             node_key=expansion.origin_of,
-            kernel=kernel,
         )
         assignment = _resolve(
             dfg, table, expansion, dict(tree_result.assignment.items()), pinned={}
@@ -235,21 +233,18 @@ def dfg_assign_once(
 
 def _repeat_rounds(
     dfg: DFG,
-    engine: TreeEngine,
+    engine: PackedAssignDP,
     table: TimeCostTable,
     deadline: int,
     expansion: ExpandedTree,
     order: List[Node],
-    workers: int = 0,
 ) -> Assignment:
     """The Repeat pin loop on the incremental engine.
 
     Runs the initial DP plus one refresh per pin; each refresh only
     recomputes the pinned copies' root-paths (everything else is a
     curve-cache hit), and each deadline query is an O(n) traceback.
-    ``workers`` fans each round's per-copy pin evaluations out through
-    :func:`~repro.engine.pmap` (0 = serial, identical results either
-    way).  Returns the cheapest resolved assignment over all rounds
+    Returns the cheapest resolved assignment over all rounds
     (the latest minimal-cost round on ties) — the round-0 resolution
     is exactly `DFG_Assign_Once`'s, so Repeat can never end up worse
     than Once on the shared expansion even when a later pin
@@ -265,9 +260,7 @@ def _repeat_rounds(
     best = _resolve(dfg, table, expansion, tree_mapping, pinned)
     best_cost = best.total_cost(dfg, table)
     for v in order:
-        pinned[v] = _min_time_choice(
-            expansion, work_table, tree_mapping, v, workers=workers
-        )
+        pinned[v] = _min_time_choice(expansion, work_table, tree_mapping, v)
         work_table = work_table.with_fixed(v, pinned[v])
         engine.refresh(work_table)
         tree_mapping = engine.traceback_at(deadline)
@@ -288,6 +281,7 @@ def _repeat_rounds(
     "workers",
     keep=3,
 )
+@retired_knobs("incremental", "kernel", "workers")
 def dfg_assign_repeat(
     dfg: DFG,
     table: TimeCostTable,
@@ -316,25 +310,17 @@ def dfg_assign_repeat(
     wins on graphs with many duplications.
 
     ``fix_order`` overrides the pinning order for ablation studies
-    (default: most-copied first).  ``incremental=True`` (the default)
-    runs the re-optimizations on an incremental engine, which
-    recomputes only the pinned copies' root-paths per round; the result
-    is identical to the reference path (``incremental=False``), which
-    re-runs the full python `Tree_Assign` DP every round.  ``kernel``
-    selects the incremental engine's implementation (packed default /
-    python reference, bit-identical); ``workers`` fans each round's pin
-    evaluations out through :func:`~repro.engine.pmap` (0 = serial,
-    same results at any count).  ``stats`` optionally collects the
-    engine's :class:`DPStats`.
+    (default: most-copied first).  The re-optimizations run on one
+    packed incremental engine, which recomputes only the pinned copies'
+    root-paths per round; ``stats`` optionally collects its
+    :class:`DPStats`.  ``incremental``, ``kernel`` and ``workers`` are
+    retired and ignored (see ``docs/api.md``); the per-round reference
+    lives in :mod:`repro.checkkit.reference`.
     """
     require_acyclic(dfg)
     table.validate_for(dfg)
-    tracer = current_tracer()
-    with tracer.span(
-        "dfg_assign_repeat",
-        nodes=len(dfg),
-        deadline=deadline,
-        incremental=incremental,
+    with current_tracer().span(
+        "dfg_assign_repeat", nodes=len(dfg), deadline=deadline
     ):
         if expansion is None:
             expansion = choose_expansion(dfg, node_limit=node_limit)
@@ -347,59 +333,8 @@ def dfg_assign_repeat(
             if v not in known:
                 raise GraphError(f"fix_order names unknown node {v!r}")
 
-        if incremental:
-            run_stats = stats
-            if run_stats is None and tracer.enabled:
-                run_stats = DPStats()
-            before = run_stats.as_dict() if run_stats is not None else {}
-            engine = make_tree_engine(
-                expansion.tree,
-                deadline,
-                node_key=expansion.origin_of,
-                stats=run_stats,
-                kernel=kernel,
-            )
+        with _packed_engine(expansion, deadline, stats) as engine:
             assignment = _repeat_rounds(
-                dfg, engine, table, deadline, expansion, order, workers=workers
+                dfg, engine, table, deadline, expansion, order
             )
-            if tracer.enabled and run_stats is not None:
-                _emit_dp_metrics(before, run_stats)
-        else:
-            # The non-incremental branch is the historical reference:
-            # keep it on the python kernel so equivalence tests always
-            # compare the packed path against the original loops.  The
-            # best-over-rounds tracking mirrors _repeat_rounds exactly.
-            work_table = table
-            tree_result = tree_assign(
-                expansion.tree,
-                work_table,
-                deadline,
-                node_key=expansion.origin_of,
-                kernel="python",
-            )
-            tree_mapping = dict(tree_result.assignment.items())
-            pinned: Dict[Node, int] = {}
-            assignment = _resolve(dfg, table, expansion, tree_mapping, pinned)
-            best_cost = assignment.total_cost(dfg, table)
-            for v in order:
-                pinned[v] = _min_time_choice(
-                    expansion, work_table, tree_mapping, v
-                )
-                work_table = work_table.with_fixed(v, pinned[v])
-                tree_result = tree_assign(
-                    expansion.tree,
-                    work_table,
-                    deadline,
-                    node_key=expansion.origin_of,
-                    kernel="python",
-                )
-                tree_mapping = dict(tree_result.assignment.items())
-                # Costs/times of pinned nodes are identical in
-                # ``work_table`` and ``table`` (the pin copied the chosen
-                # entry), so resolving against the original table is exact.
-                candidate = _resolve(dfg, table, expansion, tree_mapping, pinned)
-                cost = candidate.total_cost(dfg, table)
-                if cost <= best_cost:
-                    assignment, best_cost = candidate, cost
-
         return _finish(dfg, table, assignment, deadline, "dfg_assign_repeat")

@@ -19,13 +19,14 @@ completion time — each carrying the witnessing
 ``(deadline, cost)`` pairs, so tuple-era call sites
 (``dict(frontier)``, ``for d, c in frontier``) keep working.
 
-The heuristic sweep is *incremental* by default: one
-:class:`~repro.assign.incremental.IncrementalTreeDP` is shared across
+The heuristic sweep is *incremental*: one
+:class:`~repro.assign.incremental.PackedAssignDP` is shared across
 every deadline, so each point costs one O(n) traceback plus a refresh
 per pin round — and because pin choices rarely change between adjacent
 deadlines, those refreshes are almost entirely curve-cache hits.  The
-reference per-deadline re-run survives as ``incremental=False`` (the
-equivalence is pinned by tests and ``benchmarks/bench_incremental.py``).
+per-deadline reference re-run lives in :mod:`repro.checkkit.reference`
+(the equivalence is pinned by tests and
+``benchmarks/bench_incremental.py``).
 
 Both sweeps publish their engine counters as ``dp.*`` metrics to the
 ambient :mod:`repro.obs` tracer when one is enabled.
@@ -37,22 +38,16 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..apiutil import deprecated_positionals
+from ..apiutil import deprecated_positionals, retired_knobs
 from ..errors import InfeasibleError, NotATreeError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_in_forest, is_out_forest
 from ..graph.dfg import DFG
 from ..obs import current_tracer
 from .assignment import Assignment, min_completion_time
-from .dfg_assign import (
-    _emit_dp_metrics,
-    _finish,
-    _repeat_rounds,
-    choose_expansion,
-    dfg_assign_repeat,
-)
+from .dfg_assign import _finish, _packed_engine, _repeat_rounds, choose_expansion
 from .exact import exact_assign
-from .incremental import DPStats, make_tree_engine
+from .incremental import DPStats
 from .knees import KNEE_RTOL, FrontierPoint, _knee_points, frontier_knees
 from .tree_assign import tree_dp
 
@@ -66,6 +61,7 @@ __all__ = [
 
 
 @deprecated_positionals("max_deadline")
+@retired_knobs("kernel", "batch")
 def tree_frontier(
     tree: DFG,
     table: TimeCostTable,
@@ -78,17 +74,13 @@ def tree_frontier(
 
     One DP pass (O(n · max_deadline · M)) yields every point; each knee
     additionally gets its witnessing assignment via an O(n) traceback.
-    ``kernel`` selects the tree-DP engine (packed default / python
-    reference, bit-identical).  Raises :class:`NotATreeError` for
-    general DAGs (matching `tree_assign`'s contract — use
-    :func:`dfg_frontier` there) and :class:`InfeasibleError` when even
-    ``max_deadline`` is infeasible.
+    Raises :class:`NotATreeError` for general DAGs (matching
+    `tree_assign`'s contract — use :func:`dfg_frontier` there) and
+    :class:`InfeasibleError` when even ``max_deadline`` is infeasible.
 
-    ``batch=True`` routes through the batched multi-instance engine
-    (:func:`repro.assign.batch.tree_frontier_batch` with this one job)
-    — identical knees and witnesses; useful mainly as a parity check,
-    since batching pays off when *many* forests share one refresh.  The
-    ``kernel="python"`` reference always runs scalar.
+    ``kernel`` and ``batch`` are retired and ignored (see
+    ``docs/api.md``); many forests at once go through
+    :func:`repro.assign.batch.tree_frontier_batch`.
 
     ``max_deadline`` is keyword-only; the positional form is deprecated
     (see ``docs/algorithms.md``).
@@ -97,14 +89,10 @@ def tree_frontier(
         raise NotATreeError(
             f"{tree.name!r} is not a tree/forest; use dfg_frontier"
         )
-    if batch and kernel == "packed":
-        from .batch import tree_frontier_batch
-
-        return tree_frontier_batch([(tree, table, max_deadline)])[0]
     with current_tracer().span(
         "tree_frontier", graph=tree.name, nodes=len(tree), max_deadline=max_deadline
     ):
-        engine = tree_dp(tree, table, max_deadline, kernel=kernel)
+        engine = tree_dp(tree, table, max_deadline)
         curve = engine.total_curve()
         finite = np.isfinite(curve)
         if not finite.any():
@@ -125,6 +113,7 @@ def tree_frontier(
 
 
 @deprecated_positionals("max_deadline", "exact", "incremental", "stats")
+@retired_knobs("incremental", "kernel")
 def dfg_frontier(
     dfg: DFG,
     table: TimeCostTable,
@@ -144,26 +133,23 @@ def dfg_frontier(
     with branch-and-bound (small graphs only).  The heuristic frontier
     upper-bounds the true one and is itself monotone by construction.
 
-    With ``incremental=True`` (the default) the whole sweep shares one
-    incremental engine built at ``max_deadline``: curves are
-    prefix-identical across deadlines, so every point's initial tree
-    assignment is a single traceback, and the per-pin refreshes hit the
-    curve cache whenever adjacent deadlines pin the same choices.  The
-    knees are identical to ``incremental=False`` (the per-deadline
-    reference loop, always on the python kernel).  ``kernel`` selects
-    the incremental engine (packed default / python reference);
-    ``workers`` fans pin evaluations out through
-    :func:`~repro.engine.pmap` — results are identical at any worker
-    count.  ``stats`` optionally collects engine counters, which are
-    also published as ``dp.*`` metrics to the ambient tracer.
+    The heuristic sweep shares one packed incremental engine built at
+    ``max_deadline``: curves are prefix-identical across deadlines, so
+    every point's initial tree assignment is a single traceback, and
+    the per-pin refreshes hit the curve cache whenever adjacent
+    deadlines pin the same choices.  ``stats`` optionally collects
+    engine counters, which are also published as ``dp.*`` metrics to
+    the ambient tracer.  ``incremental`` and ``kernel`` are retired and
+    ignored (see ``docs/api.md``); the per-deadline reference loop lives
+    in :mod:`repro.checkkit.reference`.
 
     ``batch=True`` routes the heuristic sweep through
     :func:`~repro.assign.batch.dfg_frontier_batch` — every deadline
     becomes one lane of a :class:`~repro.engine.batch.BatchedTreeDP`
-    and the whole sweep runs in a few numpy passes (``workers`` then
-    fans whole lanes out, not pin evaluations).  Knees, costs, witness
-    assignments and engine counters are identical either way;
-    ``exact=True`` ignores ``batch``.
+    and the whole sweep runs in a few numpy passes; ``workers`` fans
+    those lanes out over processes and has no effect without
+    ``batch``.  Knees, costs, witness assignments and engine counters
+    are identical either way; ``exact=True`` ignores ``batch``.
 
     Everything after ``table`` is keyword-only; the positional form is
     deprecated (see ``docs/algorithms.md``).
@@ -180,14 +166,12 @@ def dfg_frontier(
             f"max_deadline {max_deadline} below minimum completion {floor}",
             min_feasible=floor,
         )
-    tracer = current_tracer()
-    with tracer.span(
+    with current_tracer().span(
         "dfg_frontier",
         graph=dfg.name,
         nodes=len(dfg),
         max_deadline=max_deadline,
         exact=exact,
-        incremental=incremental,
     ):
         raw: List[FrontierPoint] = []
         best = np.inf
@@ -202,22 +186,11 @@ def dfg_frontier(
             return _knee_points(raw)
 
         expansion = choose_expansion(dfg)
-        if incremental:
-            order = expansion.duplicated_originals()
-            run_stats = stats
-            if run_stats is None and tracer.enabled:
-                run_stats = DPStats()
-            before = run_stats.as_dict() if run_stats is not None else {}
-            engine = make_tree_engine(
-                expansion.tree,
-                max_deadline,
-                node_key=expansion.origin_of,
-                stats=run_stats,
-                kernel=kernel,
-            )
+        order = expansion.duplicated_originals()
+        with _packed_engine(expansion, max_deadline, stats) as engine:
             for deadline in range(floor, max_deadline + 1):
                 assignment = _repeat_rounds(
-                    dfg, engine, table, deadline, expansion, order, workers=workers
+                    dfg, engine, table, deadline, expansion, order
                 )
                 result = _finish(
                     dfg, table, assignment, deadline, "dfg_assign_repeat"
@@ -226,16 +199,4 @@ def dfg_frontier(
                     best = result.cost
                     best_assignment = result.assignment
                 raw.append(FrontierPoint(deadline, float(best), best_assignment))
-            if tracer.enabled and run_stats is not None:
-                _emit_dp_metrics(before, run_stats)
-            return _knee_points(raw)
-
-        for deadline in range(floor, max_deadline + 1):
-            result = dfg_assign_repeat(
-                dfg, table, deadline, expansion=expansion, incremental=False
-            )
-            if result.cost < best:
-                best = result.cost
-                best_assignment = result.assignment
-            raw.append(FrontierPoint(deadline, float(best), best_assignment))
         return _knee_points(raw)

@@ -30,48 +30,45 @@ here) counts node visits, recomputations, cache hits, and wall time per
 stage so the savings are observable
 (`repro.report.profiles.profile_incremental`).
 
-Two interchangeable engines implement this contract, selected by the
-``kernel`` knob on `tree_dp`/`tree_assign`/`dfg_assign_repeat`/
-`dfg_frontier` (via :func:`make_tree_engine`):
+Two engines implement this contract:
 
-* ``"packed"`` (default) — :class:`PackedAssignDP`, the
-  :class:`repro.engine.kernels.PackedTreeDP` array engine plus the
-  assign-layer ``result_at``;
-* ``"python"`` — :class:`IncrementalTreeDP` below, the per-node
-  dict-backed reference the packed engine is bit-identical to.
+* :class:`PackedAssignDP` — the :class:`repro.engine.kernels.PackedTreeDP`
+  array engine plus the assign-layer ``result_at``; the one engine every
+  single-instance solve builds (`tree_assign`, `tree_dp`,
+  `dfg_assign_once`/`dfg_assign_repeat`, `tree_frontier`,
+  `dfg_frontier`);
+* :class:`IncrementalTreeDP` below — the per-node dict-backed reference
+  the packed engine is bit-identical to.  It is a test oracle, built
+  only by :mod:`repro.checkkit.reference`, profiling reports,
+  benchmarks and tests.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..engine import DPStats, PackedTreeDP
-from ..errors import AssignError, InfeasibleError, NotATreeError
+from ..engine.kernels import (
+    NO_CHOICE,
+    combine_children,
+    first_feasible_budget,
+    node_step,
+)
+from ..errors import InfeasibleError, NotATreeError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_out_forest
 from ..graph.dag import reverse_topological_order
 from ..graph.dfg import DFG, Node
 from .assignment import Assignment
-from .dpkernel import NO_CHOICE, combine_children, first_feasible_budget, node_step
 from .result import AssignResult
 
-__all__ = [
-    "DPStats",
-    "IncrementalTreeDP",
-    "PackedAssignDP",
-    "TreeEngine",
-    "KERNELS",
-    "make_tree_engine",
-]
+__all__ = ["DPStats", "IncrementalTreeDP", "PackedAssignDP"]
 
 #: Maps a tree node to the key under which its table row is stored.
 NodeKey = Callable[[Node], Node]
-
-#: Valid values of the ``kernel`` knob, in preference order.
-KERNELS = ("packed", "python")
 
 
 class IncrementalTreeDP:
@@ -263,8 +260,7 @@ class IncrementalTreeDP:
         key = self._key
         choices = self._choices
         # Top-down traceback: every root independently owns the full
-        # budget.  Mirrors tree_assign exactly (same stack order), so
-        # assignments agree byte-for-byte with the reference path.
+        # budget, and each child inherits its parent's remaining one.
         mapping: Dict[Node, int] = {}
         stack = [(r, budget) for r in self._roots]
         while stack:
@@ -306,8 +302,8 @@ class PackedAssignDP(PackedTreeDP):
     :class:`~repro.engine.kernels.PackedTreeDP` is layered below
     ``assign`` and cannot know about :class:`AssignResult`; this
     subclass adds the same :meth:`result_at` surface
-    :class:`IncrementalTreeDP` offers, so the two engines are
-    drop-in interchangeable everywhere in this package.
+    :class:`IncrementalTreeDP` offers, so the reference can stand in
+    for it wherever an oracle drives the same sequence of calls.
     """
 
     def result_at(
@@ -322,32 +318,3 @@ class PackedAssignDP(PackedTreeDP):
             deadline=budget,
             algorithm=algorithm,
         )
-
-
-#: Either DP engine; both expose refresh/traceback_at/result_at/etc.
-TreeEngine = Union[IncrementalTreeDP, PackedAssignDP]
-
-
-def make_tree_engine(
-    tree: DFG,
-    deadline: int,
-    *,
-    node_key: Optional[NodeKey] = None,
-    stats: Optional[DPStats] = None,
-    kernel: str = "packed",
-) -> TreeEngine:
-    """Construct the tree-DP engine selected by ``kernel``.
-
-    ``"packed"`` (default) builds the array engine; ``"python"`` the
-    dict-backed reference.  Both produce bit-identical curves,
-    assignments, costs, errors, and :class:`DPStats` counters — the
-    equivalence is pinned by ``tests/properties/test_prop_engine.py``.
-    Unknown names raise :class:`~repro.errors.AssignError`.
-    """
-    if kernel == "packed":
-        return PackedAssignDP(tree, deadline, node_key=node_key, stats=stats)
-    if kernel == "python":
-        return IncrementalTreeDP(tree, deadline, node_key=node_key, stats=stats)
-    raise AssignError(
-        f"unknown kernel {kernel!r}; choose one of {list(KERNELS)}"
-    )

@@ -19,20 +19,17 @@ costs, and feasibility are unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
+from ..apiutil import deprecated_positionals, retired_knobs
 from ..errors import InfeasibleError, NotATreeError
-from ..apiutil import deprecated_positionals
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_in_forest, is_out_forest
-from ..graph.dag import reverse_topological_order
 from ..graph.dfg import DFG, Node
 from ..obs import current_tracer
-from .assignment import Assignment
-from .dpkernel import NO_CHOICE, combine_children, node_step, zero_curve
-from .incremental import TreeEngine, make_tree_engine
+from .incremental import PackedAssignDP
 from .result import AssignResult
 
 __all__ = ["tree_assign", "tree_cost_curve", "tree_dp"]
@@ -46,8 +43,7 @@ def _normalize(dfg: DFG) -> DFG:
     """Return ``dfg`` as an out-forest, transposing in-forests.
 
     The empty graph is a (trivial) forest: zero roots, zero curves to
-    combine — both DP entry points handle it explicitly, returning the
-    zero curve / the empty assignment.
+    combine — the engine returns the zero curve / the empty assignment.
     """
     if len(dfg) == 0 or is_out_forest(dfg):
         return dfg
@@ -57,28 +53,6 @@ def _normalize(dfg: DFG) -> DFG:
         f"{dfg.name!r} is neither an out-forest nor an in-forest; "
         "run DFG_Expand (or dfg_assign_once/_repeat) for general DAGs"
     )
-
-
-def _curves(
-    tree: DFG,
-    table: TimeCostTable,
-    deadline: int,
-    key: NodeKey,
-) -> Tuple[Dict[Node, np.ndarray], Dict[Node, np.ndarray]]:
-    """Bottom-up DP pass: per-node cost curves and traceback choices."""
-    curves: Dict[Node, np.ndarray] = {}
-    choices: Dict[Node, np.ndarray] = {}
-    for node in reverse_topological_order(tree):
-        children = tree.children(node)
-        if children:
-            base = combine_children([curves[c] for c in children])
-        else:
-            base = zero_curve(deadline)
-        row = key(node)
-        curves[node], choices[node] = node_step(
-            base, table.times(row), table.costs(row)
-        )
-    return curves, choices
 
 
 def tree_cost_curve(
@@ -94,30 +68,25 @@ def tree_cost_curve(
     by tests (monotonicity, agreement with brute force) and by the
     paper-figure walkthrough example.
     """
-    key = node_key or (lambda n: n)
-    tree = _normalize(tree)
-    for n in tree.nodes():
-        table.times(key(n))  # validates coverage eagerly
-    curves, _ = _curves(tree, table, deadline, key)
-    return combine_children([curves[r] for r in tree.roots()], deadline=deadline)
+    return tree_dp(tree, table, deadline, node_key).total_curve()
 
 
+@retired_knobs("kernel")
 def tree_dp(
     tree: DFG,
     table: TimeCostTable,
     deadline: int,
     node_key: Optional[NodeKey] = None,
     kernel: str = "packed",
-) -> TreeEngine:
+) -> PackedAssignDP:
     """One DP pass that answers *every* deadline ``j ≤ deadline``.
 
     Returns a refreshed engine whose ``traceback_at``/``result_at``
     reproduce ``tree_assign(tree, table, j)`` for any ``j`` in O(n),
     because cost curves are prefix-identical across deadlines.  Deadline
     sweeps (`tree_frontier`, `dfg_frontier`) build on this instead of
-    re-running the full O(n·L·M) DP per point.  ``kernel`` selects the
-    packed array engine (default) or the python reference — the two are
-    bit-identical (see ``docs/performance.md``).
+    re-running the full O(n·L·M) DP per point.  ``kernel`` is retired
+    and ignored (see ``docs/api.md``).
     """
     key = node_key or (lambda n: n)
     tree = _normalize(tree)
@@ -125,12 +94,11 @@ def tree_dp(
         table.times(key(n))  # validates coverage eagerly
     if deadline < 0:
         raise InfeasibleError(f"deadline must be >= 0, got {deadline}")
-    return make_tree_engine(tree, deadline, node_key=key, kernel=kernel).refresh(
-        table
-    )
+    return PackedAssignDP(tree, deadline, node_key=key).refresh(table)
 
 
 @deprecated_positionals("node_key", "kernel", keep=3)
+@retired_knobs("kernel")
 def tree_assign(
     tree: DFG,
     table: TimeCostTable,
@@ -143,9 +111,8 @@ def tree_assign(
 
     Optimal for out-forests and in-forests (paper Theorem, Section 5.2).
     ``node_key`` redirects table lookups for expanded trees whose nodes
-    are copies of original nodes.  ``kernel`` selects the packed array
-    engine (default) or the per-node python reference; both produce the
-    same assignment, cost, and errors bit-for-bit.
+    are copies of original nodes.  ``kernel`` is retired and ignored
+    (see ``docs/api.md``).
 
     Raises
     ------
@@ -156,62 +123,8 @@ def tree_assign(
         If even all-fastest misses the deadline; carries the minimum
         achievable completion time.
     """
-    key = node_key or (lambda n: n)
-    tree = _normalize(tree)
-    for n in tree.nodes():
-        table.times(key(n))
-    if deadline < 0:
-        raise InfeasibleError(f"deadline must be >= 0, got {deadline}")
-
     with current_tracer().span(
         "tree_assign", nodes=len(tree), deadline=deadline
     ):
-        if kernel != "python":
-            engine = make_tree_engine(tree, deadline, node_key=key, kernel=kernel)
-            engine.refresh(table)
-            return engine.result_at(deadline, algorithm="tree_assign")
-        return _assign_normalized(tree, table, deadline, key)
-
-
-def _assign_normalized(
-    tree: DFG, table: TimeCostTable, deadline: int, key: NodeKey
-) -> AssignResult:
-    """`tree_assign` body after validation/normalization (span-wrapped)."""
-    curves, choices = _curves(tree, table, deadline, key)
-
-    roots = tree.roots()
-    total = combine_children([curves[r] for r in roots], deadline=deadline)
-    if not np.isfinite(total[deadline]):
-        from ..graph.paths import longest_path_time
-
-        min_time = longest_path_time(tree, {n: table.min_time(key(n)) for n in tree})
-        raise InfeasibleError(
-            f"no assignment of {tree.name!r} completes within {deadline} "
-            f"(minimum possible is {min_time})",
-            min_feasible=min_time,
-        )
-
-    # Top-down traceback: every root independently owns the full budget.
-    mapping: Dict[Node, int] = {}
-    stack = [(r, deadline) for r in roots]
-    while stack:
-        node, budget = stack.pop()
-        k = int(choices[node][budget])
-        assert k != NO_CHOICE, f"traceback hit infeasible cell at {node!r}"
-        mapping[node] = k
-        remaining = budget - table.time(key(node), k)
-        for c in tree.children(node):
-            stack.append((c, remaining))
-    assignment = Assignment.of(mapping)
-
-    cost = float(sum(table.cost(key(n), mapping[n]) for n in tree.nodes()))
-    times = {n: table.time(key(n), mapping[n]) for n in tree.nodes()}
-    from ..graph.paths import longest_path_time
-
-    return AssignResult(
-        assignment=assignment,
-        cost=cost,
-        completion_time=longest_path_time(tree, times),
-        deadline=deadline,
-        algorithm="tree_assign",
-    )
+        engine = tree_dp(tree, table, deadline, node_key)
+        return engine.result_at(deadline, algorithm="tree_assign")

@@ -7,6 +7,8 @@ assignment/scheduling portfolio:
   instance generators;
 * :mod:`~repro.checkkit.oracles` — the differential oracle registry
   (`repro.verify` is a thin facade over its certify chain);
+* :mod:`~repro.checkkit.reference` — the python-engine references the
+  production tree DP sweeps are checked against;
 * :mod:`~repro.checkkit.metamorphic` — transforms with known answer
   relations;
 * :mod:`~repro.checkkit.shrink` — greedy delta-debugging minimizer and

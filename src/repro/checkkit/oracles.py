@@ -13,8 +13,9 @@ error).
 :data:`CERTIFY_CHAIN` is the historical `verify.certify` portfolio
 (:mod:`repro.verify` is now a thin facade over it);
 :data:`FUZZ_CHAIN` adds the differential oracles that pin the packed
-kernel, the parallel engine, and the incremental sweeps to their
-reference implementations.
+engine and its incremental sweeps to the scalar references in
+:mod:`~repro.checkkit.reference`, and the batched engine's process
+fan-out to its serial run.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..assign import (
+    FrontierPoint,
     brute_force_assign,
     dfg_assign_once,
     dfg_assign_repeat,
     dfg_frontier,
+    dfg_frontier_batch,
     downgrade_assign,
     exact_assign,
     greedy_assign,
@@ -49,6 +52,11 @@ from ..sched import (
     min_resource_schedule,
 )
 from ..sched.schedule import Schedule
+from .reference import (
+    reference_dfg_assign_repeat,
+    reference_dfg_frontier,
+    reference_tree_frontier,
+)
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
@@ -410,7 +418,7 @@ def _oracle_simulation(ctx: OracleContext) -> List[str]:
 def _require_identical(
     what: str, packed: AssignResult, python: AssignResult
 ) -> None:
-    """Bit-identity between a packed-path and a reference-path result."""
+    """Bit-identity between the packed engine and the python reference."""
     if dict(packed.assignment.items()) != dict(python.assignment.items()):
         raise CheckError(
             f"{what}: packed assignment differs from python reference "
@@ -419,54 +427,56 @@ def _require_identical(
         )
     if packed.cost != python.cost:
         raise CheckError(
-            f"{what}: packed cost {packed.cost!r} != python cost "
+            f"{what}: packed cost {packed.cost!r} != python reference cost "
             f"{python.cost!r} despite identical assignments"
         )
 
 
+def _knees(points: Sequence[FrontierPoint]) -> List[Tuple[int, float]]:
+    return [(p.deadline, p.cost) for p in points]
+
+
 @_register(
     "kernels",
-    "the packed DP kernel is bit-identical to the python reference",
+    "the packed DP engine is bit-identical to the python reference",
 )
 def _oracle_kernels(ctx: OracleContext) -> List[str]:
-    packed = ctx.results["repeat"]
-    python = dfg_assign_repeat(
-        ctx.dag,
-        ctx.table,
-        ctx.deadline,
-        expansion=ctx.expansion,
-        kernel="python",
+    python = reference_dfg_assign_repeat(
+        ctx.dag, ctx.table, ctx.deadline, expansion=ctx.expansion
     )
-    _require_identical("dfg_assign_repeat", packed, python)
-    checks = ["packed kernel == python kernel (dfg_assign_repeat)"]
+    _require_identical("dfg_assign_repeat", ctx.results["repeat"], python)
+    checks = ["packed kernel == python reference (dfg_assign_repeat)"]
     if _is_forest(ctx):
         horizon = ctx.deadline
-        pts_packed = tree_frontier(
-            ctx.dag, ctx.table, max_deadline=horizon, kernel="packed"
+        packed = _knees(tree_frontier(ctx.dag, ctx.table, max_deadline=horizon))
+        python = _knees(
+            reference_tree_frontier(ctx.dag, ctx.table, max_deadline=horizon)
         )
-        pts_python = tree_frontier(
-            ctx.dag, ctx.table, max_deadline=horizon, kernel="python"
-        )
-        if [tuple(p) for p in pts_packed] != [tuple(p) for p in pts_python]:
+        if packed != python:
             raise CheckError(
-                f"tree_frontier: packed knees {[tuple(p) for p in pts_packed]}"
-                f" != python knees {[tuple(p) for p in pts_python]}"
+                f"tree_frontier: packed knees {packed} != reference knees "
+                f"{python}"
             )
-        checks.append("packed kernel == python kernel (tree_frontier)")
+        checks.append("packed kernel == python reference (tree_frontier)")
     return checks
 
 
 @_register(
     "workers",
-    "the parallel pin fan-out returns the serial result at any worker count",
+    "the batched sweep's process fan-out returns the serial result",
 )
 def _oracle_workers(ctx: OracleContext) -> List[str]:
-    serial = ctx.results["repeat"]
-    fanned = dfg_assign_repeat(
-        ctx.dag, ctx.table, ctx.deadline, expansion=ctx.expansion, workers=2
+    horizon = ctx.deadline
+    serial = dfg_frontier_batch(ctx.dag, ctx.table, max_deadline=horizon)
+    fanned = dfg_frontier_batch(
+        ctx.dag, ctx.table, max_deadline=horizon, workers=2
     )
-    _require_identical("dfg_assign_repeat[workers=2]", serial, fanned)
-    return ["pmap fan-out (workers=2) == serial"]
+    if serial != fanned:
+        raise CheckError(
+            f"dfg_frontier_batch[workers=2]: knees {_knees(fanned)} != "
+            f"serial knees {_knees(serial)}"
+        )
+    return ["pmap fan-out (workers=2) == serial (dfg_frontier_batch)"]
 
 
 @_register(
@@ -514,23 +524,21 @@ def _oracle_metaheuristics(ctx: OracleContext) -> List[str]:
 
 @_register(
     "frontier",
-    "incremental deadline sweeps equal cold per-deadline re-runs",
+    "incremental deadline sweeps equal cold per-deadline reference runs",
 )
 def _oracle_frontier(ctx: OracleContext) -> List[str]:
     horizon = ctx.deadline
     warm = dfg_frontier(ctx.dag, ctx.table, max_deadline=horizon)
-    cold = dfg_frontier(
-        ctx.dag, ctx.table, max_deadline=horizon, incremental=False
-    )
-    if [tuple(p) for p in warm] != [tuple(p) for p in cold]:
+    cold = reference_dfg_frontier(ctx.dag, ctx.table, max_deadline=horizon)
+    if warm != cold:
         raise CheckError(
-            f"dfg_frontier: incremental knees {[tuple(p) for p in warm]} != "
-            f"cold knees {[tuple(p) for p in cold]}"
+            f"dfg_frontier: incremental knees {_knees(warm)} != "
+            f"reference knees {_knees(cold)}"
         )
     costs = [p.cost for p in warm]
     if any(b > a for a, b in zip(costs, costs[1:])):
         raise CheckError(f"dfg_frontier costs not non-increasing: {costs}")
-    return ["incremental sweep == cold sweep; frontier non-increasing"]
+    return ["incremental sweep == cold sweep (reference); frontier non-increasing"]
 
 
 #: The `verify.certify` chain — the paper's cross-algorithm relations.

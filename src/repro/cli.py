@@ -118,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=0,
-            help="processes for the DFG_Assign_Repeat pin fan-out "
-            "(0 = serial, -1 = all cores; results are identical)",
+            help="processes for the portfolio solver race (0 = serial, "
+            "-1 = all cores; results are identical)",
         )
         if name == "synth":
             p.add_argument(
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="processes for the batched sweep's pin fan-out "
+        help="processes for the batched sweep's lanes, with --batch "
         "(0 = serial, -1 = all cores; results are identical)",
     )
 
@@ -234,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="processes for the DFG_Assign_Repeat pin fan-out "
-        "(0 = serial, -1 = all cores; results are identical)",
+        help="processes for the portfolio solver race (0 = serial, "
+        "-1 = all cores; results are identical)",
     )
 
     p_sim = sub.add_parser(
@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="processes for the DFG_Assign_Repeat pin fan-out "
-        "(0 = serial, -1 = all cores; results are identical)",
+        help="processes for the portfolio solver race (0 = serial, "
+        "-1 = all cores; results are identical)",
     )
     p_trace.add_argument(
         "--out",

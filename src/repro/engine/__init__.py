@@ -9,11 +9,12 @@ layers.  It has two halves:
   dense per-row ``(type → time, cost)`` matrices, interned row-version
   ids) built once and reused across deadline sweeps and pin rounds;
   :mod:`~repro.engine.kernels` provides the curve primitives
-  (`zero_curve`, `combine_children`, `node_step`, ...) shared with the
-  python reference path plus :class:`PackedTreeDP`, the packed
-  counterpart of :class:`repro.assign.incremental.IncrementalTreeDP`
-  that is bit-identical to it by construction (same `node_step`, same
-  sequential float summation, same tie-breaks).
+  (`zero_curve`, `combine_children`, `node_step`, ...) plus
+  :class:`PackedTreeDP`, the one scalar tree DP of every
+  single-instance solve.  It is bit-identical by construction (same
+  `node_step`, same sequential float summation, same tie-breaks) to
+  :class:`repro.assign.incremental.IncrementalTreeDP`, the python
+  reference that :mod:`repro.checkkit.reference` checks it against.
 
 * **Deterministic parallelism** — :mod:`~repro.engine.parallel`
   provides :func:`pmap`, a spawn-safe, chunked, order-preserving

@@ -1,10 +1,11 @@
 """Vectorized DP kernels: curve primitives + the packed tree engine.
 
 The curve primitives (:func:`zero_curve`, :func:`combine_children`,
-:func:`node_step`, ...) moved here from ``repro.assign.dpkernel`` so
-both kernel paths — the python reference and :class:`PackedTreeDP` —
-share one implementation of the O(L·M) inner step; the old module
-remains as a re-export shim.  Bit-identity between the paths follows:
+:func:`node_step`, ...) give every DP in the package — the production
+:class:`PackedTreeDP`, the python reference
+:class:`repro.assign.incremental.IncrementalTreeDP`, and the path,
+series-parallel and min-max DPs — one implementation of the O(L·M)
+inner step.  Bit-identity between packed and reference follows:
 the packed engine calls the *same* `node_step` on the same float64
 values and sums child/root curves with the same sequential ``+=`` loop
 as `combine_children` (numpy pairwise summation would differ in the

@@ -22,6 +22,7 @@ from ..assign.assignment import min_completion_time
 from ..assign.dfg_assign import choose_expansion
 from ..assign.frontier import dfg_frontier
 from ..assign.incremental import DPStats
+from ..checkkit.reference import reference_dfg_frontier
 from ..fu.random_tables import random_table
 from ..graph.analysis import parallelism_profile, profile
 from ..suite.registry import PAPER_BENCHMARKS, get_benchmark
@@ -118,7 +119,8 @@ def profile_incremental(
 
     ``span`` scales the sweep horizon (``max_deadline = span · floor``);
     ``compare=False`` skips timing the per-deadline reference loop
-    (which dominates the runtime of this report on large graphs).
+    (:func:`repro.checkkit.reference.reference_dfg_frontier`, which
+    dominates the runtime of this report on large graphs).
     """
     out = []
     for name in names:
@@ -132,8 +134,8 @@ def profile_incremental(
         reference_seconds = None
         if compare:
             t0 = time.perf_counter()
-            reference = dfg_frontier(
-                dfg, table, max_deadline=max_deadline, incremental=False
+            reference = reference_dfg_frontier(
+                dfg, table, max_deadline=max_deadline
             )
             reference_seconds = time.perf_counter() - t0
             assert reference == swept, f"{name}: swept frontier diverged"

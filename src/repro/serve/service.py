@@ -11,10 +11,12 @@
 2. keys are looked up in the content-addressed
    :class:`~repro.serve.cache.ResultCache`; duplicate keys within one
    batch collapse to a single job;
-3. the remaining misses are sharded across the persistent
-   :func:`repro.engine.pmap` pools (``workers=0`` = serial, identical
-   results at any count) via the spawn-safe
-   :func:`~repro.serve.jobs.solve_canonical_job` payload;
+3. the remaining misses are solved by
+   :func:`~repro.serve.jobs.solve_canonical_batch`: jobs whose phase 1
+   is `DFG_Assign_Repeat` share one batched engine run (lanes fanned
+   out over the persistent :func:`repro.engine.pmap` pools, ``workers=0``
+   = serial, identical results at any count), the rest fall back to
+   :func:`~repro.serve.jobs.solve_canonical_job` one by one;
 4. results land in the cache and every response is translated back to
    its caller's node labels.
 
@@ -35,7 +37,8 @@ import json
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..engine import pmap, shutdown_pools
+from ..apiutil import retired_knobs
+from ..engine import shutdown_pools
 from ..obs import Tracer, use_tracer
 from .cache import ResultCache
 from .jobs import (
@@ -45,7 +48,6 @@ from .jobs import (
     prepare,
     relabel_payload,
     solve_canonical_batch,
-    solve_canonical_job,
 )
 
 __all__ = [
@@ -62,13 +64,13 @@ DEFAULT_BUDGET_EVALUATIONS = 4000
 
 
 class SynthesisService:
-    """Batch solver with content-addressed dedupe and pmap sharding.
+    """Batch solver with content-addressed dedupe and batched misses.
 
     Parameters
     ----------
     workers:
-        Process count for sharding cache misses (0 = serial; responses
-        are identical at any count).
+        Process count for the batched engine's lanes (0 = serial;
+        responses are identical at any count).
     cache:
         The result cache (default: fresh in-memory
         :class:`ResultCache`; pass one with a ``path`` for
@@ -80,14 +82,13 @@ class SynthesisService:
         Telemetry sink (default: a private enabled
         :class:`~repro.obs.Tracer`).
     batch:
-        When ``True`` (default), cache misses whose phase 1 resolves to
-        `DFG_Assign_Repeat` are grouped by graph structure and solved
-        in one :func:`~repro.serve.jobs.solve_canonical_batch` call —
-        one batched engine run instead of a solve per job.  Responses
-        and cache entries are byte-identical either way; ``False``
-        restores the historical per-job ``pmap`` sharding.
+        Retired and ignored (see ``docs/api.md``): cache misses always
+        go through :func:`~repro.serve.jobs.solve_canonical_batch`,
+        whose payloads are byte-identical to the per-job
+        :func:`~repro.serve.jobs.solve_canonical_job`.
     """
 
+    @retired_knobs("batch")
     def __init__(
         self,
         *,
@@ -101,7 +102,6 @@ class SynthesisService:
         self.cache = cache if cache is not None else ResultCache()
         self.default_evaluations = default_evaluations
         self.tracer = tracer if tracer is not None else Tracer()
-        self.batch = batch
 
     # ------------------------------------------------------------------
     def solve_batch(self, requests: Sequence[Request]) -> List[Response]:
@@ -144,20 +144,11 @@ class SynthesisService:
 
         if misses:
             tracer.add_metric("serve.solves", float(len(misses)))
-            if self.batch:
-                with tracer.span(
-                    "serve.solve", items=len(misses), workers=self.workers
-                ):
-                    raw = solve_canonical_batch(
-                        [job.job_json for job in misses],
-                        workers=self.workers,
-                    )
-            else:
-                raw = pmap(
-                    solve_canonical_job,
-                    [job.job_json for job in misses],
-                    workers=self.workers,
-                    label="serve.solve",
+            with tracer.span(
+                "serve.solve", items=len(misses), workers=self.workers
+            ):
+                raw = solve_canonical_batch(
+                    [job.job_json for job in misses], workers=self.workers
                 )
             for job, text in zip(misses, raw):
                 payload = json.loads(text)

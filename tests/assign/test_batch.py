@@ -170,11 +170,11 @@ def test_tree_frontier_batch_rejects_general_dags():
         tree_frontier_batch([(dfg, table, floor + 2)])
 
 
-def test_tree_frontier_keyword_dispatch():
+def test_tree_frontier_batch_single_job_matches_scalar():
     tree, table, floor = _instance("volterra")
-    assert tree_frontier(
-        tree, table, max_deadline=floor + 8, batch=True
-    ) == tree_frontier(tree, table, max_deadline=floor + 8)
+    assert tree_frontier_batch([(tree, table, floor + 8)]) == [
+        tree_frontier(tree, table, max_deadline=floor + 8)
+    ]
 
 
 def test_repeat_batch_cyclic_job_carries_scalar_error():

@@ -5,6 +5,7 @@ import pytest
 from repro.assign.assignment import min_completion_time
 from repro.assign.frontier import dfg_frontier, frontier_knees, tree_frontier
 from repro.assign.tree_assign import tree_assign
+from repro.checkkit.reference import reference_dfg_frontier
 from repro.errors import InfeasibleError, NotATreeError
 from repro.fu.random_tables import random_table
 from repro.fu.table import TimeCostTable
@@ -152,7 +153,7 @@ class TestDfgFrontier:
     def test_swept_matches_reference(self, setup):
         dfg, table = setup
         floor = min_completion_time(dfg, table)
-        ref = dfg_frontier(dfg, table, max_deadline=floor + 15, incremental=False)
+        ref = reference_dfg_frontier(dfg, table, max_deadline=floor + 15)
         assert dfg_frontier(dfg, table, max_deadline=floor + 15) == ref
 
     def test_below_floor_raises(self, setup):

@@ -77,15 +77,13 @@ class TestInjectedBugs:
     """A deliberately broken implementation must be caught, not certified."""
 
     def test_kernel_divergence_is_detected(self, monkeypatch):
-        real = oracles_mod.dfg_assign_repeat
+        real = oracles_mod.reference_dfg_assign_repeat
 
         def buggy(dag, table, deadline, **kwargs):
             result = real(dag, table, deadline, **kwargs)
-            if kwargs.get("kernel") == "python":
-                return dataclasses.replace(result, cost=result.cost + 1.0)
-            return result
+            return dataclasses.replace(result, cost=result.cost + 1.0)
 
-        monkeypatch.setattr(oracles_mod, "dfg_assign_repeat", buggy)
+        monkeypatch.setattr(oracles_mod, "reference_dfg_assign_repeat", buggy)
         inst = generate("dag", 13)
         with pytest.raises(CheckError, match="packed cost"):
             run_oracles(
@@ -93,15 +91,15 @@ class TestInjectedBugs:
             )
 
     def test_worker_divergence_is_detected(self, monkeypatch):
-        real = oracles_mod.dfg_assign_repeat
+        real = oracles_mod.dfg_frontier_batch
 
-        def buggy(dag, table, deadline, **kwargs):
-            result = real(dag, table, deadline, **kwargs)
+        def buggy(dag, table, **kwargs):
+            points = real(dag, table, **kwargs)
             if kwargs.get("workers"):
-                return dataclasses.replace(result, cost=result.cost * 2.0)
-            return result
+                return [dataclasses.replace(p, cost=p.cost * 2.0) for p in points]
+            return points
 
-        monkeypatch.setattr(oracles_mod, "dfg_assign_repeat", buggy)
+        monkeypatch.setattr(oracles_mod, "dfg_frontier_batch", buggy)
         inst = generate("layered", 4)
         with pytest.raises(CheckError, match="workers=2"):
             run_oracles(

@@ -47,15 +47,13 @@ class TestCleanCampaign:
 
 
 def _install_kernel_bug(monkeypatch):
-    real = oracles_mod.dfg_assign_repeat
+    real = oracles_mod.reference_dfg_assign_repeat
 
     def buggy(dag, table, deadline, **kwargs):
         result = real(dag, table, deadline, **kwargs)
-        if kwargs.get("kernel") == "python":
-            return dataclasses.replace(result, cost=result.cost + 1.0)
-        return result
+        return dataclasses.replace(result, cost=result.cost + 1.0)
 
-    monkeypatch.setattr(oracles_mod, "dfg_assign_repeat", buggy)
+    monkeypatch.setattr(oracles_mod, "reference_dfg_assign_repeat", buggy)
 
 
 class TestFailingCampaign:

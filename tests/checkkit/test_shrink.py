@@ -65,15 +65,13 @@ class TestInjectedKernelBugShrinks:
     """Acceptance: a monkeypatched kernel bug shrinks to <= 8 nodes."""
 
     def test_kernel_bug_is_caught_and_shrunk(self, monkeypatch):
-        real = oracles_mod.dfg_assign_repeat
+        real = oracles_mod.reference_dfg_assign_repeat
 
         def buggy(dag, table, deadline, **kwargs):
             result = real(dag, table, deadline, **kwargs)
-            if kwargs.get("kernel") == "python":
-                return dataclasses.replace(result, cost=result.cost + 1.0)
-            return result
+            return dataclasses.replace(result, cost=result.cost + 1.0)
 
-        monkeypatch.setattr(oracles_mod, "dfg_assign_repeat", buggy)
+        monkeypatch.setattr(oracles_mod, "reference_dfg_assign_repeat", buggy)
         dfg = random_dag(12, edge_prob=0.25, seed=8)
         table = random_table(dfg, num_types=3, seed=8)
         predicate = oracle_predicate(("kernels",), brute_force_limit=0)
@@ -130,17 +128,15 @@ class TestArtifacts:
         assert "transposition preserves the optimal cost" in checks
 
     def test_replay_json_raises_while_bug_reproduces(self, monkeypatch):
-        real = oracles_mod.dfg_assign_repeat
+        real = oracles_mod.reference_dfg_assign_repeat
 
         def buggy(dag, table, deadline, **kwargs):
             result = real(dag, table, deadline, **kwargs)
-            if kwargs.get("kernel") == "python":
-                return dataclasses.replace(result, cost=result.cost + 1.0)
-            return result
+            return dataclasses.replace(result, cost=result.cost + 1.0)
 
         dfg, table, deadline = self._roundtrip_instance()
         text = to_json(dfg, table, deadline, oracles=("kernels",))
-        monkeypatch.setattr(oracles_mod, "dfg_assign_repeat", buggy)
+        monkeypatch.setattr(oracles_mod, "reference_dfg_assign_repeat", buggy)
         with pytest.raises(CheckError, match="packed cost"):
             replay_json(text)
 

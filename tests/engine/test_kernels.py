@@ -5,13 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.assign.incremental import (
-    IncrementalTreeDP,
-    PackedAssignDP,
-    make_tree_engine,
-)
+from repro.assign.incremental import IncrementalTreeDP, PackedAssignDP
+from repro.assign.tree_assign import tree_dp
 from repro.engine import DPStats, window_bounds
-from repro.errors import AssignError, InfeasibleError, NotATreeError, TableError
+from repro.errors import InfeasibleError, NotATreeError, TableError
 from repro.fu.random_tables import random_table
 from repro.graph.dfg import DFG
 
@@ -180,14 +177,9 @@ def test_clear_cache_recomputes_identically():
     np.testing.assert_array_equal(packed.total_curve(), before)
 
 
-def test_make_tree_engine_dispatch():
+def test_tree_dp_builds_the_packed_engine():
     tree = _tree()
-    assert isinstance(make_tree_engine(tree, 5), PackedAssignDP)
-    assert isinstance(
-        make_tree_engine(tree, 5, kernel="python"), IncrementalTreeDP
-    )
-    with pytest.raises(AssignError, match="unknown kernel"):
-        make_tree_engine(tree, 5, kernel="numba")
+    assert isinstance(tree_dp(tree, make_table(tree), 5), PackedAssignDP)
 
 
 def test_result_at_matches_between_engines():

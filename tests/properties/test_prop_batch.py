@@ -3,7 +3,8 @@
 The batched engine is an execution-layer optimization, so its contract
 is total: for *every* registered benchmark and for arbitrary random
 instances, the batched entry points must reproduce the scalar packed
-path — which in turn equals the python reference — bit for bit:
+path — which in turn equals the python reference in
+:mod:`repro.checkkit.reference` — bit for bit:
 assignments, costs, frontier knees, ``DPStats`` work counters, and the
 exact error strings of infeasible lanes.  Shared-memory arenas and
 process pools must be invisible at this level too.
@@ -23,6 +24,7 @@ from repro.assign import (
     tree_frontier_batch,
 )
 from repro.assign.frontier import tree_frontier
+from repro.checkkit.reference import reference_dfg_frontier
 from repro.engine import DPStats
 from repro.errors import ReproError
 from repro.fu.random_tables import random_table
@@ -74,8 +76,8 @@ def test_batched_frontier_matches_packed_and_python(name):
     dag, table, floor = _instance(name)
     horizon = floor + SLACK
     batched = dfg_frontier(dag, table, max_deadline=horizon, batch=True)
-    packed = dfg_frontier(dag, table, max_deadline=horizon, kernel="packed")
-    python = dfg_frontier(dag, table, max_deadline=horizon, kernel="python")
+    packed = dfg_frontier(dag, table, max_deadline=horizon)
+    python = reference_dfg_frontier(dag, table, max_deadline=horizon)
     assert [tuple(p) for p in batched] == [tuple(p) for p in packed]
     assert [tuple(p) for p in batched] == [tuple(p) for p in python]
 

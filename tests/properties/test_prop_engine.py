@@ -3,9 +3,11 @@
 The packed kernels promise *exactly* the python incremental engine's
 outputs — same curves byte-for-byte, same tracebacks, same stats
 counters, same errors — across arbitrary trees/DAGs (hypothesis) plus
-the structural edge cases.  The pmap worker-independence checks live
-here too (as plain tests: spawning pools inside hypothesis examples
-would be both slow and flaky-deadline-prone).
+the structural edge cases.  The production entry points are compared
+with their :mod:`repro.checkkit.reference` twins.  The pmap
+worker-independence checks live here too (as plain tests: spawning
+pools inside hypothesis examples would be both slow and
+flaky-deadline-prone).
 """
 
 from __future__ import annotations
@@ -16,9 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assign.assignment import min_completion_time
-from repro.assign.dfg_assign import dfg_assign_repeat
+from repro.assign.batch import BatchJob, dfg_assign_repeat_batch
+from repro.assign.dfg_assign import _repeat_rounds, choose_expansion, dfg_assign_repeat
 from repro.assign.frontier import dfg_frontier, tree_frontier
 from repro.assign.incremental import IncrementalTreeDP, PackedAssignDP
+from repro.checkkit.reference import (
+    reference_dfg_assign_repeat,
+    reference_dfg_frontier,
+    reference_tree_frontier,
+)
 from repro.engine import DPStats, pmap
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
@@ -94,10 +102,24 @@ def test_packed_repeat_matches_python_kernel(pair, slack):
     dfg, table = pair
     deadline = min_completion_time(dfg, table) + slack
     packed = dfg_assign_repeat(dfg, table, deadline)
-    python = dfg_assign_repeat(dfg, table, deadline, kernel="python")
+    python = reference_dfg_assign_repeat(dfg, table, deadline)
     assert dict(packed.assignment.items()) == dict(python.assignment.items())
     assert packed.cost == python.cost
     assert packed.completion_time == python.completion_time
+    # the same pin loop on either engine does the same counted work
+    expansion = choose_expansion(dfg)
+    order = expansion.duplicated_originals()
+    counters = []
+    for engine_cls in (PackedAssignDP, IncrementalTreeDP):
+        stats = DPStats()
+        engine = engine_cls(
+            expansion.tree, deadline, node_key=expansion.origin_of, stats=stats
+        )
+        _repeat_rounds(dfg, engine, table, deadline, expansion, order)
+        counters.append(
+            {k: v for k, v in stats.as_dict().items() if "seconds" not in k}
+        )
+    assert counters[0] == counters[1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -106,16 +128,12 @@ def test_packed_frontier_matches_python_kernel(pair, span):
     dfg, table = pair
     floor = min_completion_time(dfg, table)
     packed = dfg_frontier(dfg, table, max_deadline=floor + span)
-    python = dfg_frontier(
-        dfg, table, max_deadline=floor + span, kernel="python"
-    )
+    python = reference_dfg_frontier(dfg, table, max_deadline=floor + span)
     assert packed == python
     if is_out_forest(dfg) or is_in_forest(dfg):
         assert tree_frontier(
             dfg, table, max_deadline=floor + span
-        ) == tree_frontier(
-            dfg, table, max_deadline=floor + span, kernel="python"
-        )
+        ) == reference_tree_frontier(dfg, table, max_deadline=floor + span)
 
 
 # ----------------------------------------------------------------------
@@ -176,12 +194,15 @@ def test_repeat_workers_independent_on_benchmark():
     dfg = get_benchmark("paper_example").dag()
     table = random_table(dfg, num_types=3, seed=1)
     deadline = min_completion_time(dfg, table) + 4
-    serial = dfg_assign_repeat(dfg, table, deadline, workers=0)
-    fanned = dfg_assign_repeat(dfg, table, deadline, workers=2)
-    assert dict(serial.assignment.items()) == dict(fanned.assignment.items())
-    assert serial.cost == fanned.cost
+    serial = dfg_assign_repeat(dfg, table, deadline)
+    jobs = [BatchJob(dfg, table, d) for d in (deadline - 1, deadline)]
+    (_, fanned) = dfg_assign_repeat_batch(jobs, workers=2)
+    assert dict(serial.assignment.items()) == dict(
+        fanned.result.assignment.items()
+    )
+    assert serial.cost == fanned.result.cost
     frontier_serial = dfg_frontier(dfg, table, max_deadline=deadline)
     frontier_fanned = dfg_frontier(
-        dfg, table, max_deadline=deadline, workers=2
+        dfg, table, max_deadline=deadline, batch=True, workers=2
     )
     assert frontier_serial == frontier_fanned

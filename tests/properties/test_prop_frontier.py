@@ -5,14 +5,16 @@ pinned here on every *registered* benchmark with the seed of record:
 
 * frontiers are non-increasing in cost and strictly increasing in
   deadline (relaxing the constraint can only help);
-* the packed DP kernel and the python reference produce *identical*
-  knees — same deadlines, same costs — on every benchmark shape.
+* the packed DP kernel and the python reference
+  (:mod:`repro.checkkit.reference`) produce *identical* knees — same
+  deadlines, same costs — on every benchmark shape.
 """
 
 import pytest
 
 from repro.assign.assignment import min_completion_time
 from repro.assign.frontier import dfg_frontier, tree_frontier
+from repro.checkkit.reference import reference_dfg_frontier, reference_tree_frontier
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
 from repro.suite.registry import benchmark_names, get_benchmark
@@ -38,8 +40,8 @@ def _assert_monotone(points):
 @pytest.mark.parametrize("name", benchmark_names())
 def test_dfg_frontier_kernels_identical_and_monotone(name):
     dag, table, horizon = _instance(name)
-    packed = dfg_frontier(dag, table, max_deadline=horizon, kernel="packed")
-    python = dfg_frontier(dag, table, max_deadline=horizon, kernel="python")
+    packed = dfg_frontier(dag, table, max_deadline=horizon)
+    python = reference_dfg_frontier(dag, table, max_deadline=horizon)
     assert [tuple(p) for p in packed] == [tuple(p) for p in python]
     _assert_monotone(packed)
 
@@ -49,7 +51,7 @@ def test_tree_frontier_kernels_identical_and_monotone(name):
     dag, table, horizon = _instance(name)
     if not (is_out_forest(dag) or is_in_forest(dag)):
         pytest.skip(f"{name} is not a forest")
-    packed = tree_frontier(dag, table, max_deadline=horizon, kernel="packed")
-    python = tree_frontier(dag, table, max_deadline=horizon, kernel="python")
+    packed = tree_frontier(dag, table, max_deadline=horizon)
+    python = reference_tree_frontier(dag, table, max_deadline=horizon)
     assert [tuple(p) for p in packed] == [tuple(p) for p in python]
     _assert_monotone(packed)

@@ -1,10 +1,10 @@
 """Equivalence properties of the incremental DP engine.
 
-The engine promises *identical* results to the non-incremental seed
-implementations — same assignments, same costs, same knees — across
-arbitrary tables (hypothesis) and the full suite registry (fixed
-seeds).  Any divergence is a bug in the cache keying or the traceback,
-so these properties compare exactly, not approximately.
+The engine promises *identical* results to the per-deadline references
+in :mod:`repro.checkkit.reference` — same assignments, same costs, same
+knees — across arbitrary tables (hypothesis) and the full suite
+registry (fixed seeds).  Any divergence is a bug in the cache keying or
+the traceback, so these properties compare exactly, not approximately.
 """
 
 import pytest
@@ -15,6 +15,10 @@ from repro.assign.assignment import min_completion_time
 from repro.assign.dfg_assign import choose_expansion, dfg_assign_repeat
 from repro.assign.frontier import dfg_frontier
 from repro.assign.tree_assign import tree_assign, tree_dp
+from repro.checkkit.reference import (
+    reference_dfg_assign_repeat,
+    reference_dfg_frontier,
+)
 from repro.fu.random_tables import random_table
 from repro.suite.registry import benchmark_names, get_benchmark
 
@@ -26,8 +30,8 @@ from .strategies import dag_with_table, tree_with_table
 def test_incremental_repeat_matches_reference(pair, slack):
     dfg, table = pair
     deadline = min_completion_time(dfg, table) + slack
-    ref = dfg_assign_repeat(dfg, table, deadline, incremental=False)
-    inc = dfg_assign_repeat(dfg, table, deadline, incremental=True)
+    ref = reference_dfg_assign_repeat(dfg, table, deadline)
+    inc = dfg_assign_repeat(dfg, table, deadline)
     assert dict(inc.assignment.items()) == dict(ref.assignment.items())
     assert inc.cost == ref.cost
     assert inc.completion_time == ref.completion_time
@@ -38,7 +42,7 @@ def test_incremental_repeat_matches_reference(pair, slack):
 def test_swept_frontier_matches_reference(pair, span):
     dfg, table = pair
     floor = min_completion_time(dfg, table)
-    ref = dfg_frontier(dfg, table, max_deadline=floor + span, incremental=False)
+    ref = reference_dfg_frontier(dfg, table, max_deadline=floor + span)
     assert dfg_frontier(dfg, table, max_deadline=floor + span) == ref
 
 
@@ -76,13 +80,11 @@ def test_registry_equivalence(name, seed):
     floor = min_completion_time(dfg, table)
     span = _spans(name)
     for deadline in (floor, floor + span):
-        ref = dfg_assign_repeat(
-            dfg, table, deadline, expansion=expansion, incremental=False
+        ref = reference_dfg_assign_repeat(
+            dfg, table, deadline, expansion=expansion
         )
-        inc = dfg_assign_repeat(
-            dfg, table, deadline, expansion=expansion, incremental=True
-        )
+        inc = dfg_assign_repeat(dfg, table, deadline, expansion=expansion)
         assert dict(inc.assignment.items()) == dict(ref.assignment.items())
         assert inc.cost == ref.cost
-    ref_frontier = dfg_frontier(dfg, table, max_deadline=floor + span, incremental=False)
+    ref_frontier = reference_dfg_frontier(dfg, table, max_deadline=floor + span)
     assert dfg_frontier(dfg, table, max_deadline=floor + span) == ref_frontier

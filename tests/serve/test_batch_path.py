@@ -7,8 +7,8 @@ byte-identical to ``solve_canonical_job`` on the same job, and the
 ``dp.*`` work counters match integer for integer (only the wall-clock
 ``dp.seconds_*`` metrics may differ).  These tests pin that, the
 fallback lanes (trees, explicit algorithms, infeasible and malformed
-jobs), the service-level ``batch=`` knob, and the ``close()`` pool
-shutdown regression.
+jobs), the service's responses against per-job solves, and the
+``close()`` pool shutdown regression.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.serve import (
     solve_canonical_batch,
     solve_canonical_job,
 )
+from repro.serve.jobs import relabel_payload
 from repro.suite.registry import get_benchmark
 
 
@@ -103,19 +104,22 @@ def test_batch_is_empty_safe_and_order_preserving():
     assert costs == want
 
 
-def test_service_batch_knob_is_response_invisible():
+def test_service_responses_match_per_job_solves():
     dfg, table, floor = _instance("elliptic")
     requests = [
         Request(dfg, table, deadline=floor + i) for i in range(3)
     ] + [Request(dfg, table, deadline=floor - 1)]
-    with SynthesisService(batch=True) as batched_service:
-        batched = batched_service.solve_batch(requests)
-        metrics = batched_service.metrics()
-    with SynthesisService(batch=False) as per_job_service:
-        per_job = per_job_service.solve_batch(requests)
-    assert [(r.key, r.result, r.error) for r in batched] == [
-        (r.key, r.result, r.error) for r in per_job
-    ]
+    with SynthesisService() as service:
+        batched = service.solve_batch(requests)
+        metrics = service.metrics()
+    per_job = []
+    for request in requests:
+        job = prepare(request, default_evaluations=service.default_evaluations)
+        payload = relabel_payload(
+            json.loads(solve_canonical_job(job.job_json)), job.order
+        )
+        per_job.append((job.key, payload.get("result"), payload.get("error")))
+    assert [(r.key, r.result, r.error) for r in batched] == per_job
     # the three feasible sweep lanes went through the batched DP
     assert metrics["serve.batched"] >= 3.0
 
