@@ -55,12 +55,12 @@ from repro.assign import (
     min_completion_time,
     tree_frontier_batch,
 )
-from repro.assign.dfg_assign import _repeat_rounds, choose_expansion
+from repro.assign.dfg_assign import choose_expansion
 from repro.assign.frontier import tree_frontier
 from repro.assign.incremental import PackedAssignDP
 from repro.checkkit.reference import (
     reference_dfg_assign_repeat,
-    reference_dfg_frontier,
+    reference_engine_sweep,
     reference_tree_frontier,
 )
 from repro.engine import pmap, resolve_workers, shm_available
@@ -138,7 +138,9 @@ def check_equivalence(quick: bool, workers: int) -> List[str]:
             (batched,) = tree_frontier_batch([(dfg, table, max_deadline)])
             assert packed == batched, f"{name}: tree_frontier batch diverged"
         packed = dfg_frontier(dfg, table, max_deadline=max_deadline)
-        python = reference_dfg_frontier(dfg, table, max_deadline=max_deadline)
+        python = reference_engine_sweep(
+            IncrementalTreeDP, dfg, table, max_deadline=max_deadline
+        )
         fanned = dfg_frontier(
             dfg, table, max_deadline=max_deadline, batch=True, workers=workers
         )
@@ -166,24 +168,6 @@ def check_equivalence(quick: bool, workers: int) -> List[str]:
 # ----------------------------------------------------------------------
 # kernel speed: largest graphs, packed sweep vs python incremental sweep
 # ----------------------------------------------------------------------
-def _engine_sweep(engine_cls, dfg, table, max_deadline: int, stats: DPStats):
-    """`dfg_frontier`'s shared-engine sweep on ``engine_cls``.
-
-    Both engine classes expose the refresh/traceback surface the pin
-    loop drives, so the two timings differ only in the engine.
-    """
-    expansion = choose_expansion(dfg)
-    order = expansion.duplicated_originals()
-    engine = engine_cls(
-        expansion.tree, max_deadline, node_key=expansion.origin_of, stats=stats
-    )
-    floor = min_completion_time(dfg, table)
-    return [
-        _repeat_rounds(dfg, engine, table, deadline, expansion, order)
-        for deadline in range(floor, max_deadline + 1)
-    ]
-
-
 def measure_kernel_speedups(quick: bool) -> Tuple[List[str], Dict[str, float]]:
     """Packed vs python incremental, serial, on the biggest sweeps.
 
@@ -208,13 +192,19 @@ def measure_kernel_speedups(quick: bool) -> Tuple[List[str], Dict[str, float]]:
         stats = DPStats()
         for _ in range(2):
             t0 = time.perf_counter()
-            python = _engine_sweep(
-                IncrementalTreeDP, dfg, table, max_deadline, DPStats()
+            python = reference_engine_sweep(
+                IncrementalTreeDP,
+                dfg,
+                table,
+                max_deadline=max_deadline,
+                stats=DPStats(),
             )
             py_s = min(py_s, time.perf_counter() - t0)
             stats = DPStats()
             t0 = time.perf_counter()
-            packed = _engine_sweep(PackedAssignDP, dfg, table, max_deadline, stats)
+            packed = reference_engine_sweep(
+                PackedAssignDP, dfg, table, max_deadline=max_deadline, stats=stats
+            )
             pk_s = min(pk_s, time.perf_counter() - t0)
             assert packed == python, f"{name}: kernels diverged under timing"
         speedups[name] = py_s / pk_s

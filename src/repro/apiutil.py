@@ -14,7 +14,8 @@ CI run this way), legacy positional calls raise ``TypeError`` exactly
 as the plain keyword-only def will once the shims are dropped.  The
 flag is read at call time, so tests can flip it with ``monkeypatch``.
 
-:func:`retired_knobs` keeps parameters that no longer do anything
+:func:`retired_knobs` (and :func:`warn_retired` for a knob retired
+only in some combinations) keeps parameters that no longer do anything
 (``kernel=``, ``incremental=``, ...) accepted-but-ignored with the same
 warn / ``TypeError``-under-:data:`STRICT_API` split; ``docs/api.md``
 lists them for removal in 2.0.
@@ -30,9 +31,9 @@ import inspect
 import os
 import sys
 import warnings
-from typing import Any, Callable, TypeVar, cast
+from typing import Any, Callable, Sequence, TypeVar, cast
 
-__all__ = ["deprecated_positionals", "retired_knobs", "STRICT_API"]
+__all__ = ["deprecated_positionals", "retired_knobs", "warn_retired", "STRICT_API"]
 
 #: When true, the deprecated-positionals shims raise ``TypeError``
 #: instead of warning — the frozen v1 behaviour.  Initialised from the
@@ -50,12 +51,15 @@ F = TypeVar("F", bound=Callable[..., Any])
 
 
 def _caller_stacklevel() -> int:
-    """``stacklevel`` of the first frame outside this module.
+    """``stacklevel`` (for :func:`warn_retired`) of the entry point's caller.
 
-    Shims stack (``deprecated_positionals`` over ``retired_knobs``), so
-    a fixed level would blame the outer shim instead of the caller.
+    :func:`warn_retired` is called either from a shim of this module or
+    from the entry point itself; the first frame outside this module
+    after that direct caller is the one to blame.  Shims stack
+    (``deprecated_positionals`` over ``retired_knobs``), so a fixed
+    level would blame an outer shim instead.
     """
-    level, frame = 2, sys._getframe(2)
+    level, frame = 3, sys._getframe(3)
     while frame is not None and frame.f_code.co_filename == __file__:
         level, frame = level + 1, frame.f_back
     return level
@@ -117,15 +121,37 @@ def deprecated_positionals(*names: str, keep: int = 2) -> Callable[[F], F]:
     return decorate
 
 
+def warn_retired(qualname: str, names: Sequence[str]) -> None:
+    """Report that the caller of ``qualname`` passed retired ``names``.
+
+    One ``DeprecationWarning`` blaming that caller; under
+    :data:`STRICT_API` a ``TypeError`` naming the knobs instead.  Entry
+    points call this directly for a knob retired only in some
+    combinations (``dfg_frontier(workers=)`` without ``batch``); the
+    rest go through :func:`retired_knobs`.
+    """
+    listed = ", ".join(repr(n) for n in names)
+    if STRICT_API:
+        raise TypeError(  # lint: ignore[RL001]
+            f"{qualname}() got retired argument(s) {listed}; "
+            "they have no effect and are rejected under STRICT_API"
+        )
+    warnings.warn(
+        f"{listed} of {qualname}() is retired and ignored "
+        "(it never changed a result); drop it before 2.0",
+        DeprecationWarning,
+        stacklevel=_caller_stacklevel(),
+    )
+
+
 def retired_knobs(*names: str) -> Callable[[F], F]:
     """Accept-and-ignore the parameters ``names`` — deprecated.
 
     The wrapped function keeps ``names`` in its signature (so
     ``deprecated_positionals`` stacked above can still map legacy
-    positionals onto them) but never sees a caller's value: a knob
-    passed by keyword or position is reset to its declared default,
-    with one ``DeprecationWarning`` per call.  Under :data:`STRICT_API`
-    the call raises ``TypeError`` naming the knob instead.
+    positionals onto them) and never reads them.  A call passing one,
+    by keyword or position, goes through :func:`warn_retired`: one
+    ``DeprecationWarning``, or ``TypeError`` under :data:`STRICT_API`.
     """
 
     def decorate(func: F) -> F:
@@ -144,22 +170,7 @@ def retired_knobs(*names: str) -> Callable[[F], F]:
                 n for n in names if n in kwargs or slots.get(n, len(args)) < len(args)
             ]
             if passed:
-                listed = ", ".join(repr(n) for n in passed)
-                if STRICT_API:
-                    raise TypeError(  # lint: ignore[RL001]
-                        f"{qualname}() got retired argument(s) {listed}; "
-                        "they have no effect and are rejected under STRICT_API"
-                    )
-                warnings.warn(
-                    f"{listed} of {qualname}() is retired and ignored "
-                    "(it never changed a result); drop it before 2.0",
-                    DeprecationWarning,
-                    stacklevel=_caller_stacklevel(),
-                )
-                for name in passed:
-                    kwargs.pop(name, None)
-                reset = {slots[n]: params[n].default for n in passed if n in slots}
-                args = tuple(reset.get(i, a) for i, a in enumerate(args))
+                warn_retired(qualname, passed)
             return func(*args, **kwargs)
 
         return cast(F, wrapper)

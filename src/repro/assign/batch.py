@@ -51,9 +51,9 @@ from ..graph.classify import is_in_forest, is_out_forest
 from ..graph.dag import require_acyclic, reverse_topological_order
 from ..graph.dfg import DFG, Node
 from ..obs import add_metric, current_tracer
-from .assignment import Assignment, min_completion_time
+from .assignment import Assignment
 from .dfg_assign import _emit_dp_metrics, choose_expansion
-from .knees import FrontierPoint, _knee_points, frontier_knees
+from .knees import FrontierPoint, _curve_knees, _sweep_floor, _sweep_knees
 from .incremental import DPStats
 from .result import AssignResult
 from .tree_assign import _normalize
@@ -632,12 +632,7 @@ def dfg_frontier_batch(
     engine pass per deadline.  ``stats`` accumulates the summed
     per-lane engine counters (also published as ``dp.*`` metrics).
     """
-    floor = min_completion_time(dfg, table)
-    if max_deadline < floor:
-        raise InfeasibleError(
-            f"max_deadline {max_deadline} below minimum completion {floor}",
-            min_feasible=floor,
-        )
+    floor = _sweep_floor(dfg, table, max_deadline)
     tracer = current_tracer()
     with tracer.span(
         "engine.batch",
@@ -701,21 +696,16 @@ def dfg_frontier_batch(
         if tracer.enabled and run_stats is not None:
             _emit_dp_metrics(before, run_stats)
 
-        raw: List[FrontierPoint] = []
-        best = np.inf
-        best_assignment: Optional[Assignment] = None
-        for lane, deadline in enumerate(deadlines):
-            lane_result = per_lane[lane]
+        sweep: List[AssignResult] = []
+        for lane_result, deadline in zip(per_lane, deadlines):
             assert lane_result is not None
             choice, cost, completion = lane_result
-            result = _result_from_rows(
-                rows, choice, cost, completion, deadline, "dfg_assign_repeat"
+            sweep.append(
+                _result_from_rows(
+                    rows, choice, cost, completion, deadline, "dfg_assign_repeat"
+                )
             )
-            if result.cost < best:
-                best = result.cost
-                best_assignment = result.assignment
-            raw.append(FrontierPoint(deadline, float(best), best_assignment))
-        return _knee_points(raw)
+        return _sweep_knees(sweep)
 
 
 def tree_frontier_batch(
@@ -766,16 +756,7 @@ def tree_frontier_batch(
         for lane, ((dfg, table, max_deadline), tree, pack) in enumerate(
             zip(jobs, trees, lane_packs)
         ):
-            curve = engine.total_curve(lane)
-            finite = np.isfinite(curve)
-            if not finite.any():
-                raise InfeasibleError(
-                    f"no assignment of {tree.name!r} completes within "
-                    f"{max_deadline}"
-                )
-            knees = frontier_knees(
-                [(int(j), float(curve[j])) for j in np.flatnonzero(finite)]
-            )
+            knees = _curve_knees(tree.name, engine.total_curve(lane), max_deadline)
             points: List[FrontierPoint] = []
             for deadline, cost in knees:
                 ks = engine.traceback_at(lane, deadline)

@@ -34,21 +34,27 @@ ambient :mod:`repro.obs` tracer when one is enabled.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
-import numpy as np
-
-from ..apiutil import deprecated_positionals, retired_knobs
-from ..errors import InfeasibleError, NotATreeError
+from ..apiutil import deprecated_positionals, retired_knobs, warn_retired
+from ..errors import NotATreeError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_in_forest, is_out_forest
 from ..graph.dfg import DFG
 from ..obs import current_tracer
-from .assignment import Assignment, min_completion_time
+from .assignment import Assignment
 from .dfg_assign import _finish, _packed_engine, _repeat_rounds, choose_expansion
+from .dfg_expand import ExpandedTree
 from .exact import exact_assign
-from .incremental import DPStats
-from .knees import KNEE_RTOL, FrontierPoint, _knee_points, frontier_knees
+from .incremental import DPStats, PackedAssignDP
+from .knees import (
+    KNEE_RTOL,
+    FrontierPoint,
+    _curve_knees,
+    _sweep_floor,
+    _sweep_knees,
+    frontier_knees,
+)
 from .tree_assign import tree_dp
 
 __all__ = [
@@ -93,15 +99,7 @@ def tree_frontier(
         "tree_frontier", graph=tree.name, nodes=len(tree), max_deadline=max_deadline
     ):
         engine = tree_dp(tree, table, max_deadline)
-        curve = engine.total_curve()
-        finite = np.isfinite(curve)
-        if not finite.any():
-            raise InfeasibleError(
-                f"no assignment of {tree.name!r} completes within {max_deadline}"
-            )
-        knees = frontier_knees(
-            [(int(j), float(curve[j])) for j in np.flatnonzero(finite)]
-        )
+        knees = _curve_knees(tree.name, engine.total_curve(), max_deadline)
         return [
             FrontierPoint(
                 deadline=deadline,
@@ -147,25 +145,24 @@ def dfg_frontier(
     :func:`~repro.assign.batch.dfg_frontier_batch` — every deadline
     becomes one lane of a :class:`~repro.engine.batch.BatchedTreeDP`
     and the whole sweep runs in a few numpy passes; ``workers`` fans
-    those lanes out over processes and has no effect without
-    ``batch``.  Knees, costs, witness assignments and engine counters
-    are identical either way; ``exact=True`` ignores ``batch``.
+    those lanes out over processes.  Without ``batch``, a nonzero
+    ``workers`` is retired (it fanned out pin evaluations) and ignored.
+    Knees, costs, witness assignments and engine counters are identical
+    either way; ``exact=True`` ignores ``batch``.
 
     Everything after ``table`` is keyword-only; the positional form is
     deprecated (see ``docs/algorithms.md``).
     """
+    if workers and not batch:
+        warn_retired("dfg_frontier", ["workers"])
     if batch and not exact:
         from .batch import dfg_frontier_batch
 
         return dfg_frontier_batch(
             dfg, table, max_deadline=max_deadline, workers=workers, stats=stats
         )
-    floor = min_completion_time(dfg, table)
-    if max_deadline < floor:
-        raise InfeasibleError(
-            f"max_deadline {max_deadline} below minimum completion {floor}",
-            min_feasible=floor,
-        )
+    floor = _sweep_floor(dfg, table, max_deadline)
+    deadlines = range(floor, max_deadline + 1)
     with current_tracer().span(
         "dfg_frontier",
         graph=dfg.name,
@@ -173,30 +170,29 @@ def dfg_frontier(
         max_deadline=max_deadline,
         exact=exact,
     ):
-        raw: List[FrontierPoint] = []
-        best = np.inf
-        best_assignment: Optional[Assignment] = None
         if exact:
-            for deadline in range(floor, max_deadline + 1):
-                result = exact_assign(dfg, table, deadline)
-                if result.cost < best:  # enforce frontier monotonicity
-                    best = result.cost
-                    best_assignment = result.assignment
-                raw.append(FrontierPoint(deadline, float(best), best_assignment))
-            return _knee_points(raw)
-
+            return _sweep_knees(exact_assign(dfg, table, d) for d in deadlines)
         expansion = choose_expansion(dfg)
-        order = expansion.duplicated_originals()
         with _packed_engine(expansion, max_deadline, stats) as engine:
-            for deadline in range(floor, max_deadline + 1):
-                assignment = _repeat_rounds(
-                    dfg, engine, table, deadline, expansion, order
-                )
-                result = _finish(
-                    dfg, table, assignment, deadline, "dfg_assign_repeat"
-                )
-                if result.cost < best:
-                    best = result.cost
-                    best_assignment = result.assignment
-                raw.append(FrontierPoint(deadline, float(best), best_assignment))
-        return _knee_points(raw)
+            return _repeat_sweep(dfg, table, engine, expansion, deadlines)
+
+
+def _repeat_sweep(
+    dfg: DFG,
+    table: TimeCostTable,
+    engine: PackedAssignDP,
+    expansion: ExpandedTree,
+    deadlines: Iterable[int],
+) -> List[FrontierPoint]:
+    """Repeat at each deadline on one shared engine, collapsed to knees."""
+    order = expansion.duplicated_originals()
+    return _sweep_knees(
+        _finish(
+            dfg,
+            table,
+            _repeat_rounds(dfg, engine, table, d, expansion, order),
+            d,
+            "dfg_assign_repeat",
+        )
+        for d in deadlines
+    )

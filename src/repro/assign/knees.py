@@ -11,9 +11,15 @@ import back up would close a module cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
-from .assignment import Assignment
+import numpy as np
+
+from ..errors import InfeasibleError
+from ..fu.table import TimeCostTable
+from ..graph.dfg import DFG
+from .assignment import Assignment, min_completion_time
+from .result import AssignResult
 
 __all__ = ["KNEE_RTOL", "FrontierPoint", "frontier_knees"]
 
@@ -62,6 +68,45 @@ def frontier_knees(points: List[Tuple[int, float]]) -> List[Tuple[int, float]]:
         if cost < prev - KNEE_RTOL * max(1.0, abs(prev)):
             knees.append((deadline, cost))
     return knees
+
+
+def _curve_knees(
+    name: str, curve: np.ndarray, max_deadline: int
+) -> List[Tuple[int, float]]:
+    """Knees of a forest's cost curve; raises when no deadline is feasible."""
+    finite = np.isfinite(curve)
+    if not finite.any():
+        raise InfeasibleError(
+            f"no assignment of {name!r} completes within {max_deadline}"
+        )
+    return frontier_knees([(int(j), float(curve[j])) for j in np.flatnonzero(finite)])
+
+
+def _sweep_floor(dfg: DFG, table: TimeCostTable, max_deadline: int) -> int:
+    """First deadline of a `dfg_frontier` sweep; raises past ``max_deadline``."""
+    floor = min_completion_time(dfg, table)
+    if max_deadline < floor:
+        raise InfeasibleError(
+            f"max_deadline {max_deadline} below minimum completion {floor}",
+            min_feasible=floor,
+        )
+    return floor
+
+
+def _sweep_knees(results: Iterable[AssignResult]) -> List[FrontierPoint]:
+    """Knees of per-deadline results, each point the best so far.
+
+    Keeping the best-so-far assignment makes a heuristic frontier
+    monotone even where a larger deadline's run came out costlier.
+    """
+    raw: List[FrontierPoint] = []
+    best = np.inf
+    best_assignment: Optional[Assignment] = None
+    for result in results:
+        if result.cost < best:
+            best, best_assignment = result.cost, result.assignment
+        raw.append(FrontierPoint(result.deadline, float(best), best_assignment))
+    return _knee_points(raw)
 
 
 def _knee_points(raw: List[FrontierPoint]) -> List[FrontierPoint]:

@@ -1,27 +1,26 @@
 """Scalar references for the tree DP sweeps: the production oracle.
 
 Every single-instance solve runs the packed engine
-(:class:`~repro.assign.incremental.PackedAssignDP`).  The python
-:class:`~repro.assign.incremental.IncrementalTreeDP` survives here as
-what it is checked against: each function builds a **fresh** reference
-engine per deadline — per pin round in the Repeat loop — so no curve is
-reused.  Each returns what its production twin returns — same types,
-same errors — for comparison with ``==``.
-Used by the ``kernels``/``frontier`` oracles, ``repro.report.profiles``,
-the engine benchmarks and the property tests.
+(:class:`~repro.assign.incremental.PackedAssignDP`); the python
+:class:`~repro.assign.incremental.IncrementalTreeDP` is what it is
+checked against.  The ``reference_tree_frontier``/``_dfg_*``
+functions build a fresh python engine per deadline — per pin round in
+the Repeat loop — so they check the pin loop and the sweep's cache
+reuse too; :func:`reference_engine_sweep` isolates the kernel.  Each
+returns what its production twin returns — same types, same errors —
+for comparison with ``==``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Optional
 
 from ..assign.assignment import Assignment, min_completion_time
 from ..assign.dfg_assign import _finish, _min_time_choice, _resolve, choose_expansion
 from ..assign.dfg_expand import ExpandedTree
-from ..assign.incremental import IncrementalTreeDP
-from ..assign.knees import FrontierPoint, _knee_points, frontier_knees
+from ..assign.frontier import _repeat_sweep
+from ..assign.incremental import DPStats, IncrementalTreeDP
+from ..assign.knees import FrontierPoint, _sweep_floor, _sweep_knees, frontier_knees
 from ..assign.result import AssignResult
 from ..assign.tree_assign import _normalize
 from ..errors import GraphError, InfeasibleError, NotATreeError
@@ -34,14 +33,21 @@ __all__ = [
     "reference_tree_frontier",
     "reference_dfg_assign_repeat",
     "reference_dfg_frontier",
+    "reference_engine_sweep",
 ]
 
 
 def _tree_engine(tree: DFG, table: TimeCostTable, deadline: int) -> IncrementalTreeDP:
-    """A fresh reference engine refreshed once at ``deadline``."""
+    """A fresh reference engine refreshed once at ``deadline``.
+
+    Runs `tree_dp`'s input checks, in its order, so it raises the same
+    errors.
+    """
     tree = _normalize(tree)
     for n in tree.nodes():
         table.times(n)  # validates coverage eagerly
+    if deadline < 0:
+        raise InfeasibleError(f"deadline must be >= 0, got {deadline}")
     return IncrementalTreeDP(tree, deadline).refresh(table)
 
 
@@ -52,28 +58,29 @@ def reference_tree_frontier(
 
     Each point's cost is read off that deadline's own forest curve, the
     same float the production sweep reads off its one shared curve.
+    Each engine is dropped once its cost is read, and each knee deadline
+    gets a fresh one for its witness traceback, so at most one curve
+    set is alive at a time.
     """
     if len(tree) and not (is_out_forest(tree) or is_in_forest(tree)):
         raise NotATreeError(
             f"{tree.name!r} is not a tree/forest; use dfg_frontier"
         )
+    _tree_engine(tree, table, max_deadline)  # tree_dp's errors, in its order
     floor = min_completion_time(tree, table)
     if max_deadline < floor:
         raise InfeasibleError(
             f"no assignment of {tree.name!r} completes within {max_deadline}"
         )
-    engines = {
-        deadline: _tree_engine(tree, table, deadline)
-        for deadline in range(floor, max_deadline + 1)
-    }
-    knees = frontier_knees(
-        [(d, float(e.total_curve()[d])) for d, e in engines.items()]
-    )
+    costs = [
+        (d, float(_tree_engine(tree, table, d).total_curve()[d]))
+        for d in range(floor, max_deadline + 1)
+    ]
     return [
         FrontierPoint(
-            deadline, cost, Assignment.of(engines[deadline].traceback_at(deadline))
+            d, cost, Assignment.of(_tree_engine(tree, table, d).traceback_at(d))
         )
-        for deadline, cost in knees
+        for d, cost in frontier_knees(costs)
     ]
 
 
@@ -127,22 +134,31 @@ def reference_dfg_frontier(
     dfg: DFG, table: TimeCostTable, *, max_deadline: int
 ) -> List[FrontierPoint]:
     """Heuristic `dfg_frontier` as one cold Repeat per deadline."""
-    floor = min_completion_time(dfg, table)
-    if max_deadline < floor:
-        raise InfeasibleError(
-            f"max_deadline {max_deadline} below minimum completion {floor}",
-            min_feasible=floor,
-        )
+    floor = _sweep_floor(dfg, table, max_deadline)
     expansion = choose_expansion(dfg)
-    raw: List[FrontierPoint] = []
-    best = np.inf
-    best_assignment: Optional[Assignment] = None
-    for deadline in range(floor, max_deadline + 1):
-        result = reference_dfg_assign_repeat(
-            dfg, table, deadline, expansion=expansion
-        )
-        if result.cost < best:
-            best = result.cost
-            best_assignment = result.assignment
-        raw.append(FrontierPoint(deadline, float(best), best_assignment))
-    return _knee_points(raw)
+    return _sweep_knees(
+        reference_dfg_assign_repeat(dfg, table, d, expansion=expansion)
+        for d in range(floor, max_deadline + 1)
+    )
+
+
+def reference_engine_sweep(
+    engine_cls: Callable[..., Any],
+    dfg: DFG,
+    table: TimeCostTable,
+    *,
+    max_deadline: int,
+    stats: Optional[DPStats] = None,
+) -> List[FrontierPoint]:
+    """Heuristic `dfg_frontier`'s own sweep with ``engine_cls`` as its engine.
+
+    With ``IncrementalTreeDP`` only the kernel differs from
+    `dfg_frontier`: same points, same ``stats`` counters.
+    """
+    floor = _sweep_floor(dfg, table, max_deadline)
+    expansion = choose_expansion(dfg)
+    engine = engine_cls(
+        expansion.tree, max_deadline, node_key=expansion.origin_of, stats=stats
+    )
+    deadlines = range(floor, max_deadline + 1)
+    return _repeat_sweep(dfg, table, engine, expansion, deadlines)

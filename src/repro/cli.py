@@ -79,6 +79,16 @@ def _forwarded_main(name: str) -> Callable[[List[str]], int]:
     raise ReproError(f"no forwarded entry point for {name!r}")
 
 
+def _add_workers(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help=f"processes for {what} (0 = serial, -1 = all cores; "
+        "results are identical)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse parser for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -114,13 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="phase-1 algorithm (default: auto by graph shape)",
         )
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=0,
-            help="processes for the portfolio solver race (0 = serial, "
-            "-1 = all cores; results are identical)",
-        )
+        _add_workers(p, "the portfolio solver race, with -a portfolio")
         if name == "synth":
             p.add_argument(
                 "--gantt",
@@ -182,13 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve the whole sweep through the batched multi-instance "
         "engine (identical frontier, one vectorized pass)",
     )
-    p_pareto.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="processes for the batched sweep's lanes, with --batch "
-        "(0 = serial, -1 = all cores; results are identical)",
-    )
+    _add_workers(p_pareto, "the batched sweep's lanes, with --batch")
 
     p_prof = sub.add_parser("profile", help="structural fingerprint of a benchmark")
     p_prof.add_argument("benchmark")
@@ -230,13 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SEED,
         help="table seed when the file carries no row lines",
     )
-    p_run.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="processes for the portfolio solver race (0 = serial, "
-        "-1 = all cores; results are identical)",
-    )
 
     p_sim = sub.add_parser(
         "simulate",
@@ -263,13 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="phase-1 algorithm (default: auto by graph shape)",
     )
     p_trace.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_trace.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="processes for the portfolio solver race (0 = serial, "
-        "-1 = all cores; results are identical)",
-    )
+    _add_workers(p_trace, "the portfolio solver race, with -a portfolio")
     p_trace.add_argument(
         "--out",
         default="trace.json",
@@ -302,13 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared evaluation budget across the race "
         "(default: the portfolio's DEFAULT_EVALUATIONS)",
     )
-    p_port.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="processes for the solver race (0 = serial, -1 = all "
-        "cores; results are identical)",
-    )
+    _add_workers(p_port, "the solver race")
     p_port.add_argument(
         "--solvers",
         default=None,
@@ -519,7 +498,7 @@ def _cmd_run(args) -> int:
         table = random_table(dag, num_types=3, seed=args.seed)
         print(f"(no rows in {args.file}; using seeded random table)")
     deadline = _resolve_deadline(dag, table, args.deadline)
-    result = synthesize(dfg, table, deadline, workers=args.workers)
+    result = synthesize(dfg, table, deadline)
     print(f"file        : {args.file} ({dfg.name}, {len(dfg)} nodes)")
     print(f"deadline    : {deadline} (minimum {min_completion_time(dag, table)})")
     print(f"algorithm   : {result.assign_result.algorithm}")
@@ -649,7 +628,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     # forwarded tail is not swallowed by the top-level parser.
     if raw and raw[0] in FORWARDED_COMMANDS:
         return _forwarded_main(raw[0])(raw[1:])
-    args = build_parser().parse_args(raw)
+    parser = build_parser()
+    args = parser.parse_args(raw)
+    if args.command == "pareto" and args.workers and not args.batch:
+        parser.error("pareto --workers applies only with --batch")
     try:
         if args.command == "list":
             for name in benchmark_names():

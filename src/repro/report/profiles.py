@@ -22,7 +22,6 @@ from ..assign.assignment import min_completion_time
 from ..assign.dfg_assign import choose_expansion
 from ..assign.frontier import dfg_frontier
 from ..assign.incremental import DPStats
-from ..checkkit.reference import reference_dfg_frontier
 from ..fu.random_tables import random_table
 from ..graph.analysis import parallelism_profile, profile
 from ..suite.registry import PAPER_BENCHMARKS, get_benchmark
@@ -133,6 +132,10 @@ def profile_incremental(
         swept = dfg_frontier(dfg, table, max_deadline=max_deadline, stats=stats)
         reference_seconds = None
         if compare:
+            # Lazy: importing checkkit at module level would load the
+            # whole fuzzing harness into every CLI and server start-up.
+            from ..checkkit.reference import reference_dfg_frontier
+
             t0 = time.perf_counter()
             reference = reference_dfg_frontier(
                 dfg, table, max_deadline=max_deadline

@@ -3,8 +3,9 @@
 The batched engine is an execution-layer optimization, so its contract
 is total: for *every* registered benchmark and for arbitrary random
 instances, the batched entry points must reproduce the scalar packed
-path — which in turn equals the python reference in
-:mod:`repro.checkkit.reference` — bit for bit:
+path — which in turn equals ``IncrementalTreeDP`` driven through the
+same sweep (:func:`repro.checkkit.reference.reference_engine_sweep`) —
+bit for bit:
 assignments, costs, frontier knees, ``DPStats`` work counters, and the
 exact error strings of infeasible lanes.  Shared-memory arenas and
 process pools must be invisible at this level too.
@@ -24,7 +25,8 @@ from repro.assign import (
     tree_frontier_batch,
 )
 from repro.assign.frontier import tree_frontier
-from repro.checkkit.reference import reference_dfg_frontier
+from repro.assign.incremental import IncrementalTreeDP
+from repro.checkkit.reference import reference_engine_sweep
 from repro.engine import DPStats
 from repro.errors import ReproError
 from repro.fu.random_tables import random_table
@@ -77,7 +79,9 @@ def test_batched_frontier_matches_packed_and_python(name):
     horizon = floor + SLACK
     batched = dfg_frontier(dag, table, max_deadline=horizon, batch=True)
     packed = dfg_frontier(dag, table, max_deadline=horizon)
-    python = reference_dfg_frontier(dag, table, max_deadline=horizon)
+    python = reference_engine_sweep(
+        IncrementalTreeDP, dag, table, max_deadline=horizon
+    )
     assert [tuple(p) for p in batched] == [tuple(p) for p in packed]
     assert [tuple(p) for p in batched] == [tuple(p) for p in python]
 

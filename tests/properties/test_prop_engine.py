@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 from repro.assign.assignment import min_completion_time
 from repro.assign.batch import BatchJob, dfg_assign_repeat_batch
-from repro.assign.dfg_assign import _repeat_rounds, choose_expansion, dfg_assign_repeat
+from repro.assign.dfg_assign import dfg_assign_repeat
 from repro.assign.frontier import dfg_frontier, tree_frontier
 from repro.assign.incremental import IncrementalTreeDP, PackedAssignDP
 from repro.checkkit.reference import (
     reference_dfg_assign_repeat,
-    reference_dfg_frontier,
+    reference_engine_sweep,
     reference_tree_frontier,
 )
 from repro.engine import DPStats, pmap
@@ -106,19 +106,18 @@ def test_packed_repeat_matches_python_kernel(pair, slack):
     assert dict(packed.assignment.items()) == dict(python.assignment.items())
     assert packed.cost == python.cost
     assert packed.completion_time == python.completion_time
-    # the same pin loop on either engine does the same counted work
-    expansion = choose_expansion(dfg)
-    order = expansion.duplicated_originals()
-    counters = []
-    for engine_cls in (PackedAssignDP, IncrementalTreeDP):
-        stats = DPStats()
-        engine = engine_cls(
-            expansion.tree, deadline, node_key=expansion.origin_of, stats=stats
-        )
-        _repeat_rounds(dfg, engine, table, deadline, expansion, order)
-        counters.append(
-            {k: v for k, v in stats.as_dict().items() if "seconds" not in k}
-        )
+    # the production sweep and the same sweep on the python engine do
+    # the same counted work
+    packed_stats, python_stats = DPStats(), DPStats()
+    assert dfg_frontier(
+        dfg, table, max_deadline=deadline, stats=packed_stats
+    ) == reference_engine_sweep(
+        IncrementalTreeDP, dfg, table, max_deadline=deadline, stats=python_stats
+    )
+    counters = [
+        {k: v for k, v in s.as_dict().items() if "seconds" not in k}
+        for s in (packed_stats, python_stats)
+    ]
     assert counters[0] == counters[1]
 
 
@@ -128,7 +127,9 @@ def test_packed_frontier_matches_python_kernel(pair, span):
     dfg, table = pair
     floor = min_completion_time(dfg, table)
     packed = dfg_frontier(dfg, table, max_deadline=floor + span)
-    python = reference_dfg_frontier(dfg, table, max_deadline=floor + span)
+    python = reference_engine_sweep(
+        IncrementalTreeDP, dfg, table, max_deadline=floor + span
+    )
     assert packed == python
     if is_out_forest(dfg) or is_in_forest(dfg):
         assert tree_frontier(

@@ -6,15 +6,18 @@ pinned here on every *registered* benchmark with the seed of record:
 * frontiers are non-increasing in cost and strictly increasing in
   deadline (relaxing the constraint can only help);
 * the packed DP kernel and the python reference
-  (:mod:`repro.checkkit.reference`) produce *identical* knees — same
-  deadlines, same costs — on every benchmark shape.
+  (:mod:`repro.checkkit.reference`: ``IncrementalTreeDP`` driven
+  through the production sweep for DAGs, a cold DP per deadline for
+  forests) produce *identical* knees — same deadlines, same costs,
+  same witnesses — on every benchmark shape.
 """
 
 import pytest
 
 from repro.assign.assignment import min_completion_time
 from repro.assign.frontier import dfg_frontier, tree_frontier
-from repro.checkkit.reference import reference_dfg_frontier, reference_tree_frontier
+from repro.assign.incremental import IncrementalTreeDP
+from repro.checkkit.reference import reference_engine_sweep, reference_tree_frontier
 from repro.fu.random_tables import random_table
 from repro.graph.classify import is_in_forest, is_out_forest
 from repro.suite.registry import benchmark_names, get_benchmark
@@ -41,7 +44,9 @@ def _assert_monotone(points):
 def test_dfg_frontier_kernels_identical_and_monotone(name):
     dag, table, horizon = _instance(name)
     packed = dfg_frontier(dag, table, max_deadline=horizon)
-    python = reference_dfg_frontier(dag, table, max_deadline=horizon)
+    python = reference_engine_sweep(
+        IncrementalTreeDP, dag, table, max_deadline=horizon
+    )
     assert [tuple(p) for p in packed] == [tuple(p) for p in python]
     _assert_monotone(packed)
 

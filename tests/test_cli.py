@@ -93,6 +93,12 @@ class TestCommands:
         assert main(["pareto", "rls_laguerre", "--horizon", "20"]) == 0
         assert "heuristic" in capsys.readouterr().out
 
+    def test_pareto_workers_needs_batch(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pareto", "rls_laguerre", "--horizon", "20", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers applies only with --batch" in capsys.readouterr().err
+
     def test_profile(self, capsys):
         assert main(["profile", "elliptic"]) == 0
         assert "34 nodes" in capsys.readouterr().out
@@ -133,6 +139,13 @@ class TestCommands:
         assert main(["run", path]) == 0
         out = capsys.readouterr().out
         assert "system cost" in out
+
+    def test_run_has_no_workers_option(self, capsys):
+        # `run` has no --algorithm, so nothing it calls can fan out.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "g.dfg", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_assign_deadline_below_floor_is_rejected(self, capsys):
         # 2 is achievable as -L for no benchmark; the validation layer

@@ -1,8 +1,8 @@
 """The retired engine-selection knobs: accepted, ignored, and warned about.
 
 ``kernel=``, ``incremental=``, ``tree_frontier(batch=)``,
-``SynthesisService(batch=)`` and ``dfg_assign_repeat(workers=)`` never
-changed a result; the packed engine now runs every single-instance
+``SynthesisService(batch=)``, ``dfg_assign_repeat(workers=)`` and
+``dfg_frontier(workers=)`` without ``batch`` never changed a result; the packed engine now runs every single-instance
 solve.  Under the v1 freeze each knob is still accepted outside
 ``STRICT_API`` — one ``DeprecationWarning``, result bit-identical to
 the call without it — and rejected with a ``TypeError`` naming the
@@ -93,6 +93,7 @@ RETIRED = [
     (_call_repeat, "workers", 2),
     (_call_frontier, "kernel", "python"),
     (_call_frontier, "incremental", False),
+    (_call_frontier, "workers", 2),
     (_call_service, "batch", False),
 ]
 
@@ -120,6 +121,16 @@ def test_retired_knob_rejected_under_strict_api(call, knob, value):
     assert repro.apiutil.STRICT_API  # tests/conftest.py engages the freeze
     with pytest.raises(TypeError, match=f"retired argument.*{knob!r}"):
         call(**{knob: value})
+
+
+def test_frontier_workers_with_batch_is_not_retired():
+    dfg, table, deadline = _instance("diffeq")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fanned = dfg_frontier(
+            dfg, table, max_deadline=deadline, batch=True, workers=2
+        )
+    assert fanned == _call_frontier()
 
 
 def test_retired_positional_knob_is_ignored(monkeypatch):
