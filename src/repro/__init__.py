@@ -49,7 +49,7 @@ from .errors import (
 from .graph import DFG
 from .synthesis import SynthesisResult, synthesize
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "DFG",

@@ -28,7 +28,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..apiutil import deprecated_positionals, retired_knobs
 from ..errors import GraphError
 from ..fu.table import TimeCostTable
 from ..graph.dag import require_acyclic
@@ -190,8 +189,6 @@ def _finish(
     )
 
 
-@deprecated_positionals("expansion", "node_limit", "kernel", keep=3)
-@retired_knobs("kernel")
 def dfg_assign_once(
     dfg: DFG,
     table: TimeCostTable,
@@ -199,14 +196,12 @@ def dfg_assign_once(
     *,
     expansion: Optional[ExpandedTree] = None,
     node_limit: int = 200_000,
-    kernel: str = "packed",
 ) -> AssignResult:
     """One-shot tree-based heuristic for general DAGs (paper Fig. 11).
 
     ``expansion`` lets callers (benchmark sweeps, ablations) reuse or
     override the critical-path tree; by default the smaller of the two
-    candidates is built fresh.  ``kernel`` is retired and ignored (see
-    ``docs/api.md``).
+    candidates is built fresh.
 
     Raises :class:`~repro.errors.InfeasibleError` when no assignment
     meets ``deadline`` (propagated from `Tree_Assign` — the tree has
@@ -271,17 +266,6 @@ def _repeat_rounds(
     return best
 
 
-@deprecated_positionals(
-    "expansion",
-    "node_limit",
-    "fix_order",
-    "incremental",
-    "stats",
-    "kernel",
-    "workers",
-    keep=3,
-)
-@retired_knobs("incremental", "kernel", "workers")
 def dfg_assign_repeat(
     dfg: DFG,
     table: TimeCostTable,
@@ -290,10 +274,7 @@ def dfg_assign_repeat(
     expansion: Optional[ExpandedTree] = None,
     node_limit: int = 200_000,
     fix_order: Optional[List[Node]] = None,
-    incremental: bool = True,
     stats: Optional[DPStats] = None,
-    kernel: str = "packed",
-    workers: int = 0,
 ) -> AssignResult:
     """Iterative-pinning heuristic for general DAGs (paper Fig. 12).
 
@@ -313,9 +294,8 @@ def dfg_assign_repeat(
     (default: most-copied first).  The re-optimizations run on one
     packed incremental engine, which recomputes only the pinned copies'
     root-paths per round; ``stats`` optionally collects its
-    :class:`DPStats`.  ``incremental``, ``kernel`` and ``workers`` are
-    retired and ignored (see ``docs/api.md``); the per-round reference
-    lives in :mod:`repro.checkkit.reference`.
+    :class:`DPStats`.  The per-round reference lives in
+    :mod:`repro.checkkit.reference`.
     """
     require_acyclic(dfg)
     table.validate_for(dfg)

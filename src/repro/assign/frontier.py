@@ -36,8 +36,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from ..apiutil import deprecated_positionals, retired_knobs, warn_retired
-from ..errors import NotATreeError
+from ..errors import EngineError, NotATreeError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_in_forest, is_out_forest
 from ..graph.dfg import DFG
@@ -66,15 +65,11 @@ __all__ = [
 ]
 
 
-@deprecated_positionals("max_deadline")
-@retired_knobs("kernel", "batch")
 def tree_frontier(
     tree: DFG,
     table: TimeCostTable,
     *,
     max_deadline: int,
-    kernel: str = "packed",
-    batch: bool = False,
 ) -> List[FrontierPoint]:
     """Exact Pareto frontier of a tree/forest up to ``max_deadline``.
 
@@ -84,12 +79,8 @@ def tree_frontier(
     `tree_assign`'s contract — use :func:`dfg_frontier` there) and
     :class:`InfeasibleError` when even ``max_deadline`` is infeasible.
 
-    ``kernel`` and ``batch`` are retired and ignored (see
-    ``docs/api.md``); many forests at once go through
+    Many forests at once go through
     :func:`repro.assign.batch.tree_frontier_batch`.
-
-    ``max_deadline`` is keyword-only; the positional form is deprecated
-    (see ``docs/algorithms.md``).
     """
     if len(tree) and not (is_out_forest(tree) or is_in_forest(tree)):
         raise NotATreeError(
@@ -110,17 +101,13 @@ def tree_frontier(
         ]
 
 
-@deprecated_positionals("max_deadline", "exact", "incremental", "stats")
-@retired_knobs("incremental", "kernel")
 def dfg_frontier(
     dfg: DFG,
     table: TimeCostTable,
     *,
     max_deadline: int,
     exact: bool = False,
-    incremental: bool = True,
     stats: Optional[DPStats] = None,
-    kernel: str = "packed",
     workers: int = 0,
     batch: bool = False,
 ) -> List[FrontierPoint]:
@@ -137,24 +124,20 @@ def dfg_frontier(
     the per-pin refreshes hit the curve cache whenever adjacent
     deadlines pin the same choices.  ``stats`` optionally collects
     engine counters, which are also published as ``dp.*`` metrics to
-    the ambient tracer.  ``incremental`` and ``kernel`` are retired and
-    ignored (see ``docs/api.md``); the per-deadline reference loop lives
-    in :mod:`repro.checkkit.reference`.
+    the ambient tracer.  The per-deadline reference loop lives in
+    :mod:`repro.checkkit.reference`.
 
     ``batch=True`` routes the heuristic sweep through
     :func:`~repro.assign.batch.dfg_frontier_batch` — every deadline
     becomes one lane of a :class:`~repro.engine.batch.BatchedTreeDP`
     and the whole sweep runs in a few numpy passes; ``workers`` fans
-    those lanes out over processes.  Without ``batch``, a nonzero
-    ``workers`` is retired (it fanned out pin evaluations) and ignored.
-    Knees, costs, witness assignments and engine counters are identical
-    either way; ``exact=True`` ignores ``batch``.
-
-    Everything after ``table`` is keyword-only; the positional form is
-    deprecated (see ``docs/algorithms.md``).
+    those lanes out over processes, so a nonzero ``workers`` without
+    ``batch`` raises :class:`~repro.errors.EngineError`.  Knees, costs,
+    witness assignments and engine counters are identical either way;
+    ``exact=True`` ignores ``batch``.
     """
     if workers and not batch:
-        warn_retired("dfg_frontier", ["workers"])
+        raise EngineError("dfg_frontier(workers=) applies only with batch=True")
     if batch and not exact:
         from .batch import dfg_frontier_batch
 

@@ -23,7 +23,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..apiutil import deprecated_positionals, retired_knobs
 from ..errors import InfeasibleError, NotATreeError
 from ..fu.table import TimeCostTable
 from ..graph.classify import is_in_forest, is_out_forest
@@ -71,13 +70,11 @@ def tree_cost_curve(
     return tree_dp(tree, table, deadline, node_key).total_curve()
 
 
-@retired_knobs("kernel")
 def tree_dp(
     tree: DFG,
     table: TimeCostTable,
     deadline: int,
     node_key: Optional[NodeKey] = None,
-    kernel: str = "packed",
 ) -> PackedAssignDP:
     """One DP pass that answers *every* deadline ``j ≤ deadline``.
 
@@ -85,8 +82,7 @@ def tree_dp(
     reproduce ``tree_assign(tree, table, j)`` for any ``j`` in O(n),
     because cost curves are prefix-identical across deadlines.  Deadline
     sweeps (`tree_frontier`, `dfg_frontier`) build on this instead of
-    re-running the full O(n·L·M) DP per point.  ``kernel`` is retired
-    and ignored (see ``docs/api.md``).
+    re-running the full O(n·L·M) DP per point.
     """
     key = node_key or (lambda n: n)
     tree = _normalize(tree)
@@ -97,22 +93,18 @@ def tree_dp(
     return PackedAssignDP(tree, deadline, node_key=key).refresh(table)
 
 
-@deprecated_positionals("node_key", "kernel", keep=3)
-@retired_knobs("kernel")
 def tree_assign(
     tree: DFG,
     table: TimeCostTable,
     deadline: int,
     *,
     node_key: Optional[NodeKey] = None,
-    kernel: str = "packed",
 ) -> AssignResult:
     """Minimum-cost assignment of a tree/forest within ``deadline``.
 
     Optimal for out-forests and in-forests (paper Theorem, Section 5.2).
     ``node_key`` redirects table lookups for expanded trees whose nodes
-    are copies of original nodes.  ``kernel`` is retired and ignored
-    (see ``docs/api.md``).
+    are copies of original nodes.
 
     Raises
     ------

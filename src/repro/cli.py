@@ -218,9 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_run = sub.add_parser(
-        "run", help="synthesize a user DFG from an exchange-format file"
+        "run", help="synthesize a user DFG from an instance file"
     )
-    p_run.add_argument("file", help="path to a .dfg exchange file (see repro.suite.io_formats)")
+    p_run.add_argument(
+        "file",
+        help="path to a JSON instance or a .dfg text exchange file "
+        "(see repro.io); without -L, a JSON file's own deadline applies",
+    )
     p_run.add_argument("-L", "--deadline", type=int, default=None)
     p_run.add_argument(
         "--seed",
@@ -489,15 +493,16 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .suite.io_formats import load
+    from .io import load
     from .synthesis import synthesize
 
-    dfg, table = load(args.file)
+    dfg, table, file_deadline = load(args.file)
     dag = dfg.dag()
     if table is None:
         table = random_table(dag, num_types=3, seed=args.seed)
         print(f"(no rows in {args.file}; using seeded random table)")
-    deadline = _resolve_deadline(dag, table, args.deadline)
+    requested = args.deadline if args.deadline is not None else file_deadline
+    deadline = _resolve_deadline(dag, table, requested)
     result = synthesize(dfg, table, deadline)
     print(f"file        : {args.file} ({dfg.name}, {len(dfg)} nodes)")
     print(f"deadline    : {deadline} (minimum {min_completion_time(dag, table)})")

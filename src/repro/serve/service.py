@@ -37,7 +37,6 @@ import json
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..apiutil import retired_knobs
 from ..engine import shutdown_pools
 from ..obs import Tracer, use_tracer
 from .cache import ResultCache
@@ -81,14 +80,13 @@ class SynthesisService:
     tracer:
         Telemetry sink (default: a private enabled
         :class:`~repro.obs.Tracer`).
-    batch:
-        Retired and ignored (see ``docs/api.md``): cache misses always
-        go through :func:`~repro.serve.jobs.solve_canonical_batch`,
-        whose payloads are byte-identical to the per-job
-        :func:`~repro.serve.jobs.solve_canonical_job`.
+
+    Cache misses always go through
+    :func:`~repro.serve.jobs.solve_canonical_batch`, whose payloads are
+    byte-identical to the per-job
+    :func:`~repro.serve.jobs.solve_canonical_job`.
     """
 
-    @retired_knobs("batch")
     def __init__(
         self,
         *,
@@ -96,7 +94,6 @@ class SynthesisService:
         cache: Optional[ResultCache] = None,
         default_evaluations: int = DEFAULT_BUDGET_EVALUATIONS,
         tracer: Optional[Tracer] = None,
-        batch: bool = True,
     ):
         self.workers = workers
         self.cache = cache if cache is not None else ResultCache()

@@ -6,7 +6,7 @@ from repro.assign.assignment import min_completion_time
 from repro.assign.frontier import dfg_frontier, frontier_knees, tree_frontier
 from repro.assign.tree_assign import tree_assign
 from repro.checkkit.reference import reference_dfg_frontier
-from repro.errors import InfeasibleError, NotATreeError
+from repro.errors import EngineError, InfeasibleError, NotATreeError
 from repro.fu.random_tables import random_table
 from repro.fu.table import TimeCostTable
 from repro.graph.dfg import DFG
@@ -111,19 +111,10 @@ class TestTreeFrontier:
         for deadline, cost in frontier:
             assert as_dict[deadline] == pytest.approx(cost)
 
-    def test_positional_max_deadline_warns_but_works(self, setup, monkeypatch):
-        import repro.apiutil
-
-        monkeypatch.setattr(repro.apiutil, "STRICT_API", False)
-        dfg, table = setup
-        with pytest.warns(DeprecationWarning, match="max_deadline"):
-            old_style = tree_frontier(dfg, table, 60)  # legacy positional
-        assert old_style == tree_frontier(dfg, table, max_deadline=60)
-
     def test_positional_max_deadline_rejected_under_freeze(self, setup):
         dfg, table = setup
-        with pytest.raises(TypeError, match="STRICT_API"):
-            tree_frontier(dfg, table, 60)  # legacy positional
+        with pytest.raises(TypeError, match="positional argument"):
+            tree_frontier(dfg, table, 60)  # max_deadline is keyword-only
 
 
 class TestDfgFrontier:
@@ -155,6 +146,17 @@ class TestDfgFrontier:
         floor = min_completion_time(dfg, table)
         ref = reference_dfg_frontier(dfg, table, max_deadline=floor + 15)
         assert dfg_frontier(dfg, table, max_deadline=floor + 15) == ref
+
+    def test_workers_applies_only_with_batch(self):
+        dfg = get_benchmark("diffeq").dag()
+        table = random_table(dfg, num_types=3, seed=2004)
+        horizon = min_completion_time(dfg, table) + 3
+        with pytest.raises(EngineError, match="only with batch=True"):
+            dfg_frontier(dfg, table, max_deadline=horizon, workers=2)
+        fanned = dfg_frontier(
+            dfg, table, max_deadline=horizon, batch=True, workers=2
+        )
+        assert fanned == dfg_frontier(dfg, table, max_deadline=horizon)
 
     def test_below_floor_raises(self, setup):
         dfg, table = setup

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.assign.assignment import min_completion_time
 from repro.assign.exact import brute_force_assign
+from repro.assign.incremental import IncrementalTreeDP
 from repro.assign.path_assign import path_assign
 from repro.assign.tree_assign import tree_assign, tree_cost_curve
 from repro.errors import InfeasibleError, NotATreeError
 from repro.fu.random_tables import random_table
+from repro.graph.classify import is_in_forest, is_out_forest
+from repro.suite.registry import get_benchmark
 from repro.suite.synthetic import random_tree
 
 
@@ -75,8 +79,6 @@ class TestOptimality:
     def test_matches_brute_force_out_trees(self, seed):
         tree = random_tree(7, seed=seed, out_tree=True)
         table = random_table(tree, num_types=3, seed=seed)
-        from repro.assign.assignment import min_completion_time
-
         floor = min_completion_time(tree, table)
         for deadline in (floor, floor + 3, floor + 8):
             got = tree_assign(tree, table, deadline)
@@ -88,8 +90,6 @@ class TestOptimality:
     def test_matches_brute_force_in_trees(self, seed):
         tree = random_tree(7, seed=seed, out_tree=False)
         table = random_table(tree, num_types=3, seed=seed)
-        from repro.assign.assignment import min_completion_time
-
         floor = min_completion_time(tree, table)
         for deadline in (floor, floor + 5):
             got = tree_assign(tree, table, deadline)
@@ -112,7 +112,6 @@ class TestCostCurve:
         assert (np.diff(finite) <= 1e-12).all()
 
     def test_first_finite_is_min_completion(self, small_tree):
-        from repro.assign.assignment import min_completion_time
         from repro.engine.kernels import first_feasible_budget
 
         table = random_table(small_tree, seed=5)
@@ -128,6 +127,23 @@ class TestCostCurve:
             if np.isfinite(curve[deadline]):
                 result = tree_assign(small_tree, table, deadline)
                 assert result.cost == pytest.approx(curve[deadline])
+
+    def test_empty_forest_is_the_zero_curve(self):
+        from repro.fu.table import TimeCostTable
+        from repro.graph.dfg import DFG
+
+        curve = tree_cost_curve(DFG(name="empty"), TimeCostTable(2), 5)
+        np.testing.assert_array_equal(curve, np.zeros(6))
+
+    def test_in_forest_matches_the_reference_on_its_transpose(self):
+        dfg = get_benchmark("diffeq").dag()
+        table = random_table(dfg, num_types=3, seed=2004)
+        deadline = min_completion_time(dfg, table) + 3
+        assert is_in_forest(dfg) and not is_out_forest(dfg)
+        reference = IncrementalTreeDP(dfg.transpose(), deadline).refresh(table)
+        np.testing.assert_array_equal(
+            tree_cost_curve(dfg, table, deadline), reference.total_curve()
+        )
 
 
 class TestNodeKey:
@@ -156,8 +172,6 @@ class TestNodeKey:
 class TestInfeasibility:
     def test_below_floor(self, small_tree):
         table = random_table(small_tree, seed=7)
-        from repro.assign.assignment import min_completion_time
-
         floor = min_completion_time(small_tree, table)
         with pytest.raises(InfeasibleError) as exc:
             tree_assign(small_tree, table, floor - 1)

@@ -1,25 +1,11 @@
-"""Shared fixtures and helpers for the repro test suite.
-
-The suite runs with the v1 API freeze engaged: ``STRICT_API`` is forced
-on below (mirroring ``REPRO_STRICT_API=1`` in CI), so any legacy
-positional call that survives in library or test code fails loudly as a
-TypeError instead of a DeprecationWarning.  Tests that exercise the
-migration shims themselves opt back out with
-``monkeypatch.setattr(repro.apiutil, "STRICT_API", False)``.
-"""
+"""Shared fixtures and helpers for the repro test suite."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-import repro.apiutil
 from repro.fu.table import TimeCostTable
 from repro.graph.dfg import DFG
-
-os.environ.setdefault("REPRO_STRICT_API", "1")
-repro.apiutil.STRICT_API = True
 
 
 @pytest.fixture

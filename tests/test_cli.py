@@ -130,7 +130,7 @@ class TestCommands:
 
     def test_run_exchange_file(self, capsys, tmp_path):
         from repro.fu.random_tables import random_table
-        from repro.suite.io_formats import dump
+        from repro.io import dump
         from repro.suite.registry import get_benchmark
 
         dfg = get_benchmark("diffeq")
@@ -139,6 +139,25 @@ class TestCommands:
         assert main(["run", path]) == 0
         out = capsys.readouterr().out
         assert "system cost" in out
+
+    def test_run_json_instance_uses_its_deadline(self, capsys, tmp_path):
+        from repro.assign.assignment import min_completion_time
+        from repro.fu.random_tables import random_table
+        from repro.io import dump
+        from repro.suite.registry import get_benchmark
+
+        dfg = get_benchmark("diffeq")
+        table = random_table(dfg.dag(), seed=0)
+        deadline = min_completion_time(dfg.dag(), table) + 5
+        path = str(tmp_path / "g.json")
+        dump(path, dfg, table, deadline)
+        assert main(["run", path]) == 0
+        out = capsys.readouterr().out
+        assert f"deadline    : {deadline} " in out
+        assert "system cost" in out
+        assert "seeded random table" not in out
+        assert main(["run", path, "-L", str(deadline + 1)]) == 0
+        assert f"deadline    : {deadline + 1} " in capsys.readouterr().out
 
     def test_run_has_no_workers_option(self, capsys):
         # `run` has no --algorithm, so nothing it calls can fan out.
@@ -183,7 +202,7 @@ class TestCommands:
         assert [r.name for r in roots] == ["synthesize", "verify"]
 
     def test_run_file_without_rows_uses_seeded_table(self, capsys, tmp_path):
-        from repro.suite.io_formats import dump
+        from repro.io import dump
         from repro.suite.registry import get_benchmark
 
         path = str(tmp_path / "g.dfg")

@@ -20,6 +20,7 @@ from repro.checkkit.generators import SPECS, generate, mix_seed
 from repro.checkkit.metamorphic import relabel_instance
 from repro.errors import GraphError, TableError
 from repro.fu.random_tables import random_table
+from repro.fu.table import TimeCostTable
 from repro.graph.dfg import DFG
 from repro.io import (
     INSTANCE_SCHEMA_VERSION,
@@ -35,7 +36,7 @@ from repro.io import (
     load,
     loads_text,
 )
-from repro.suite.registry import get_benchmark
+from repro.suite.registry import PAPER_BENCHMARKS, get_benchmark
 
 from .conftest import make_table
 
@@ -201,3 +202,119 @@ class TestFileAutoDetect:
         dfg2, table2, deadline2 = load(str(p))
         assert dfg2 == chain3 and deadline2 is None
         assert list(table2.times("a")) == list(chain3_table.times("a"))
+
+
+class TestTextRoundtrip:
+    @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
+    def test_graph_roundtrip(self, name):
+        dfg = get_benchmark(name)
+        back, table = loads_text(dumps_text(dfg))
+        assert back == dfg
+        assert table is None
+
+    def test_table_roundtrip(self):
+        dfg = get_benchmark("diffeq")
+        table = random_table(dfg, num_types=3, seed=1)
+        back, back_table = loads_text(dumps_text(dfg, table))
+        assert back == dfg
+        assert back_table is not None
+        for n in dfg.nodes():
+            assert list(back_table.times(n)) == list(table.times(n))
+            assert list(back_table.costs(n)) == list(table.costs(n))
+
+    def test_delays_roundtrip(self):
+        dfg = get_benchmark("biquad2")
+        back, _ = loads_text(dumps_text(dfg))
+        assert back == dfg
+        assert back.total_delays() == dfg.total_delays()
+
+    def test_file_roundtrip(self, tmp_path):
+        dfg = get_benchmark("diffeq")
+        table = random_table(dfg, num_types=2, seed=2)
+        path = str(tmp_path / "x.dfg")
+        dump(path, dfg, table)
+        back, back_table, deadline = load(path)
+        assert back == dfg
+        assert back_table.num_types == 2
+        assert deadline is None
+
+
+class TestTextParsing:
+    def test_comments_and_blanks(self):
+        dfg, table = loads_text(
+            """
+            # a comment
+            dfg demo
+
+            node a mul   # trailing comment
+            edge a b
+            """
+        )
+        assert dfg.name == "demo"
+        assert dfg.op("a") == "mul"
+        assert dfg.op("b") == "op"  # implicit node
+        assert table is None
+
+    def test_edge_with_delay(self):
+        dfg, _ = loads_text("edge a b 3")
+        assert dfg.edges() == [("a", "b", 3)]
+
+    def test_rows_build_table(self):
+        _, table = loads_text("node a\nrow a times 1 2 costs 9 4\n")
+        assert table.num_types == 2
+        assert table.time("a", 1) == 2
+
+
+class TestTextErrors:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "bogus directive",
+            "dfg",  # missing name
+            "node",  # missing id
+            "edge a",  # missing dst
+            "edge a b x",  # bad delay
+            "row a costs 1 times 1",  # sections out of order
+            "row a times 1 2 costs 1",  # length mismatch
+        ],
+    )
+    def test_malformed_lines(self, text):
+        with pytest.raises(GraphError, match="line 1"):
+            loads_text(text)
+
+    def test_rows_disagree_on_types(self):
+        with pytest.raises(GraphError, match="FU type count"):
+            loads_text(
+                "node a\nnode b\n"
+                "row a times 1 costs 1\n"
+                "row b times 1 2 costs 1 2\n"
+            )
+
+    def test_row_for_unknown_node(self):
+        with pytest.raises(GraphError, match="unknown nodes"):
+            loads_text("node a\nrow a times 1 costs 1\nrow z times 1 costs 1\n")
+
+    def test_missing_rows_for_some_nodes(self):
+        with pytest.raises(GraphError, match="missing"):
+            loads_text("node a\nnode b\nrow a times 1 costs 1\n")
+
+    def test_dumps_requires_table_coverage(self):
+        dfg = DFG.from_edges([("a", "b")])
+        table = TimeCostTable.from_rows({"a": ([1], [1.0])})
+        with pytest.raises(TableError):
+            dumps_text(dfg, table)
+
+
+class TestTextEndToEnd:
+    def test_loaded_graph_synthesizes(self, tmp_path):
+        from repro.assign.assignment import min_completion_time
+        from repro.synthesis import synthesize
+
+        dfg = get_benchmark("lattice4")
+        table = random_table(dfg, num_types=3, seed=3)
+        path = str(tmp_path / "l4.dfg")
+        dump(path, dfg, table)
+        loaded, loaded_table, _ = load(path)
+        deadline = min_completion_time(loaded.dag(), loaded_table) + 3
+        result = synthesize(loaded, loaded_table, deadline)
+        result.verify(loaded.dag(), loaded_table)

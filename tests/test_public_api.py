@@ -24,7 +24,6 @@ PUBLIC_MODULES = [
     "repro.verify",
     "repro.errors",
     "repro.cli",
-    "repro.apiutil",
     "repro.io",
     "repro.serve",
 ]
@@ -61,7 +60,7 @@ class TestTopLevel:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "1.0.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_quickstart_imports(self):
         """The exact imports the README's quickstart uses."""
@@ -91,6 +90,23 @@ class TestTopLevel:
         from repro.cli import main
 
         assert callable(main)
+
+
+#: (module, function, positional parameter count) for each entry point
+#: whose optional knobs were once accepted positionally.
+LEGACY_POSITIONAL_ENTRY_POINTS = [
+    ("repro.synthesis", "synthesize", 3),
+    ("repro.assign", "tree_assign", 3),
+    ("repro.assign", "tree_frontier", 2),
+    ("repro.assign", "dfg_frontier", 2),
+    ("repro.assign", "dfg_assign_once", 3),
+    ("repro.assign", "dfg_assign_repeat", 3),
+    ("repro.assign", "dfg_expand", 1),
+    ("repro.assign", "exact_assign", 3),
+    ("repro.assign", "brute_force_assign", 3),
+    ("repro.sched", "min_resource_schedule", 2),
+    ("repro.sched", "list_schedule", 2),
+]
 
 
 class TestFacadeKeywordOnly:
@@ -126,35 +142,48 @@ class TestFacadeKeywordOnly:
                 offenders[name] = bad
         assert offenders == {}
 
-    def test_legacy_positionals_still_work_with_warning(self, monkeypatch):
-        """The migration shims keep old positional call sites running
-        (outside the v1 freeze, which the suite otherwise runs under)."""
-        import warnings
+    @pytest.mark.parametrize(
+        "module, name, keep",
+        LEGACY_POSITIONAL_ENTRY_POINTS,
+        ids=[name for _, name, _ in LEGACY_POSITIONAL_ENTRY_POINTS],
+    )
+    def test_legacy_positionals_rejected(self, module, name, keep):
+        """One extra positional is a plain TypeError on every entry point
+        that once took its knobs positionally."""
+        func = getattr(importlib.import_module(module), name)
+        args = [object()] * (keep + 1)
+        with pytest.raises(
+            TypeError, match=rf"{name}\(\) takes {keep} positional argument"
+        ):
+            func(*args)
 
-        import repro.apiutil
-        from repro.assign.dfg_expand import dfg_expand
-        from repro.graph.dfg import DFG
+    def test_no_retired_knob_parameters(self):
+        """``kernel``, ``incremental`` and the retired ``batch`` are gone
+        from every public signature (``docs/api.md``, migration table)."""
+        import inspect
 
-        monkeypatch.setattr(repro.apiutil, "STRICT_API", False)
-        dfg = DFG("legacy")
-        dfg.add_node("a", "mul")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            expanded = dfg_expand(dfg, 1000)  # legacy: node_limit positional
-        assert expanded is not None
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
+        from repro.assign import tree_frontier
+        from repro.serve import SynthesisService
 
-    def test_strict_api_rejects_legacy_positionals(self):
-        """Under the v1 freeze the same call is a hard TypeError."""
-        from repro.assign.dfg_expand import dfg_expand
-        from repro.graph.dfg import DFG
+        def params(obj):
+            return set(inspect.signature(inspect.unwrap(obj)).parameters)
 
-        dfg = DFG("legacy")
-        dfg.add_node("a", "mul")
-        with pytest.raises(TypeError, match="STRICT_API"):
-            dfg_expand(dfg, 1000)
+        offenders = {}
+        for modname in PUBLIC_MODULES:
+            mod = importlib.import_module(modname)
+            for name in getattr(mod, "__all__", []):
+                obj = getattr(mod, name)
+                if inspect.isfunction(inspect.unwrap(obj)):
+                    bad = params(obj) & {"kernel", "incremental"}
+                    if bad:
+                        offenders[f"{modname}.{name}"] = sorted(bad)
+        assert offenders == {}
+        assert not params(SynthesisService.__init__) & {
+            "kernel",
+            "incremental",
+            "batch",
+        }
+        assert "batch" not in params(tree_frontier)
 
 
 class TestResultSchema:
